@@ -303,7 +303,7 @@ def _try_farkas(comp: _Compiled, v: np.ndarray, opts: SolveOptions,
     gap = float(np.linalg.norm(e))
     if gap < 10 * opts.feas_tol:
         return None
-    y = comp.solve_normal(comp.constraint_values(e) - (comp.b - comp.b))
+    y = comp.solve_normal(comp.constraint_values(e))
     # e should reproduce as adjoint(y); verify before trusting it
     if np.linalg.norm(comp.adjoint(y) - e) > 1e-6 * (1.0 + np.linalg.norm(e)):
         return None

@@ -400,8 +400,6 @@ def is_positive_definite(
     )
     if hit.value < -PD_TOL * scale:
         return PdResult(False, res.lambda_min, res, witness=hit.point)
-    if res.exact and res.solver_status == "optimal":
-        return PdResult(None, res.lambda_min, res)
     return PdResult(None, res.lambda_min, res)
 
 

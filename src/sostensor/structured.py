@@ -147,8 +147,6 @@ def is_z_tensor(A: SymmetricTensor) -> Tuple[bool, Optional[Index]]:
     for idx, v in A.entries.items():
         if len(set(idx)) > 1 and v > 0:
             return False, idx
-        if len(set(idx)) > 1 and isinstance(v, float) and v > 0.0:
-            return False, idx
     return True, None
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
@@ -81,6 +82,11 @@ def exponent_multiplicity(alpha: Sequence[int]) -> int:
     return out
 
 
+def _check_finite(value: Number, where: object) -> None:
+    if not isinstance(value, (int, Fraction)) and not math.isfinite(value):
+        raise TensorError(f"non-finite value {value!r} at {where}")
+
+
 def _exact_div(value: Number, k: int) -> Number:
     if isinstance(value, (int, Fraction)):
         return Fraction(value, k)
@@ -109,6 +115,7 @@ class HomogeneousPolynomial:
                 raise TensorError(
                     f"non-homogeneous term {alpha}: degree {sum(alpha)} != {self.degree}"
                 )
+            _check_finite(c, alpha)
             if c != 0:
                 clean[alpha] = clean.get(alpha, 0) + c
         clean = {a: c for a, c in clean.items() if c != 0}
@@ -211,6 +218,7 @@ class SymmetricTensor:
         clean: Dict[Index, Number] = {}
         for idx, v in self.entries.items():
             canon, _ = canonicalize(idx, self.dim)
+            _check_finite(v, canon)
             if canon in clean and clean[canon] != v:
                 raise TensorError(f"conflicting values for canonical index {canon}")
             if v != 0:
@@ -300,32 +308,26 @@ class SymmetricTensor:
             total = total + p
         return total
 
+    @cached_property
+    def _form(self):
+        """The induced form compiled for the sparse evaluator, built on first use."""
+        from .descent import FormEvaluator
+
+        return FormEvaluator(self.to_polynomial())
+
     def apply(self, x: Sequence[float]) -> np.ndarray:
         """Contract along all but the first mode.
 
         Component i equals the sum over the remaining m-1 indices of
         a[i, i2, ..., im] * x[i2] * ... * x[im]; it is 1/m times the gradient
-        of the induced form, so x . apply(x) == evaluate(x).
+        of the induced form, so x . apply(x) == evaluate(x).  Computed in
+        floats by the compiled form evaluator (descent.FormEvaluator), which
+        is built once per tensor.
         """
         if len(x) != self.dim:
             raise TensorError("dimension mismatch in apply")
-        xf = np.asarray(x, dtype=float)
-        out = np.zeros(self.dim)
-        m = self.order
-        for idx, v in self.entries.items():
-            counts = Counter(idx)
-            mult = multiplicity(idx)
-            vf = float(v)
-            for i, ci in counts.items():
-                # tuples starting with i that sort to idx: mult * ci / m of them
-                ways = mult * ci // m
-                p = 1.0
-                for j, cj in counts.items():
-                    e = cj - 1 if j == i else cj
-                    if e:
-                        p *= xf[j] ** e
-                out[i] += ways * vf * p
-        return out
+        xf = np.asarray(x, dtype=float).reshape(1, -1)
+        return self._form._gradient(xf)[0] / self.order
 
     def inner(self, other: "SymmetricTensor") -> Number:
         """Entrywise inner product over all (non-canonical) index tuples."""

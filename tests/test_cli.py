@@ -188,6 +188,16 @@ class TestCliCommands:
         assert code == EXIT_OK
         assert "positive_definite" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["sos", "pd"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_entry_rejected(self, tmp_path, capsys, command, bad):
+        path = tmp_path / "t.txt"
+        path.write_text(f"tensor 4 2\n1 1 1 1 1\n2 2 2 2 1\n1 1 2 2 {bad}\n")
+        assert main([command, str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "non-finite" in err
+        assert "Traceback" not in err
+
     def test_missing_file(self, capsys):
         assert main(["classify", "/nonexistent/tensor.txt"]) == EXIT_USAGE
 

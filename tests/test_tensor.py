@@ -109,6 +109,13 @@ class TestPolynomialBridge:
         with pytest.raises(TensorError):
             HomogeneousPolynomial(4, 2, {(3, 0): 1})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(TensorError, match="non-finite"):
+            HomogeneousPolynomial(4, 2, {(4, 0): 1, (2, 2): bad})
+        with pytest.raises(TensorError, match="non-finite"):
+            SymmetricTensor(4, 2, {(0, 0, 0, 0): 1, (0, 0, 1, 1): bad})
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10 ** 6), st.sampled_from([2, 4, 6]), st.integers(1, 5))
     def test_round_trip(self, seed, order, dim):
