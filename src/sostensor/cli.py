@@ -1,7 +1,7 @@
 """Command-line surface: classify, sos, eigmin, pd, gen, repro.
 
-Exit codes: 0 computed/decided, 2 solver inconclusive, 64 usage or parse
-error.  Every text report has a one-to-one JSON twin behind --format json.
+Exit codes: 0 computed/decided, 2 solver inconclusive, 64 usage, parse or
+input error (odd order included).  Every text report has a one-to-one JSON twin behind --format json.
 """
 
 from __future__ import annotations
@@ -342,7 +342,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, TensorError, FileNotFoundError) as exc:
+    except (
+        ParseError,
+        TensorError,
+        sos.SosError,
+        spectral.SpectralError,
+        FileNotFoundError,
+    ) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -16,7 +16,7 @@ degree-m monomials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -39,6 +39,16 @@ from .tensor import (
 
 class SosError(ValueError):
     pass
+
+
+# A certificate is accepted when every coefficient of z' Q z is within
+# CERTIFICATE_TOL * (1 + max |coefficient|) of the form's.  The Gram SDP
+# solves stop at half that residual (see `_certify_monolithic`).
+CERTIFICATE_TOL = 1e-6
+
+
+def _certificate_tolerance(f: HomogeneousPolynomial) -> float:
+    return CERTIFICATE_TOL * (1.0 + f.max_abs_coefficient())
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +225,6 @@ class NotCertified:
 @dataclass
 class CertifyOptions:
     blockwise: str = "auto"  # auto | on | off
-    feas_tol: float = 1e-8
     max_iter: int = 200_000
     rank_threshold: float = 1e-7
     point_scan: bool = True
@@ -558,9 +567,12 @@ def certify_sos(
     Even order is required.  When the tensor carries extended-Z block
     structure the blocks are certified independently in their own variables
     and the certificates are merged, which keeps every Gram matrix at the
-    per-block size.  Failure is reported as `not_sos` only with evidence (a
-    point with a strictly negative value, or a verified separating
-    certificate); anything else is `inconclusive`.
+    per-block size.  A certificate is returned only when every coefficient
+    of z' Q z lies within CERTIFICATE_TOL * (1 + max |coefficient|) of the
+    form's; the Gram SDP solves stop at half that tolerance.  Failure is
+    reported as `not_sos` only with evidence (a point with a strictly
+    negative value, or a verified separating certificate); anything else is
+    `inconclusive`.
     """
     opts = options or CertifyOptions()
     if A.order % 2 != 0:
@@ -597,6 +609,15 @@ def certify_sos(
 def _certify_monolithic(
     f: HomogeneousPolynomial, opts: CertifyOptions
 ) -> Union[SosCertificate, NotCertified]:
+    """Certify f with one Gram matrix over the full half-degree basis.
+
+    Diagonal forms take an exact diagonal Gram matrix.  Otherwise the Gram
+    SDP of f / max|coef| is solved until its residual, in f's units, is half
+    the certificate tolerance.  Whatever iterate the solver returns without
+    Farkas evidence is finished and checked, and the check alone decides.
+    Facial reduction and a deeper negative-point scan follow only when that
+    check fails on an iterate stopped at the iteration cap.
+    """
     n, m = f.dim, f.degree
     system = gram_system(n, m)
 
@@ -628,11 +649,17 @@ def _certify_monolithic(
     scale = f.max_abs_coefficient() or 1.0
     fs = f.scale(1.0 / scale)
     rhs = system.rhs(fs)
+    # The solver stops once its cone iterate, PSD by construction, misses
+    # every scaled coefficient by at most feas_tol * (1 + max |rhs|).  Put
+    # that bound at half the certificate tolerance in f's own units, so the
+    # stopped iterate passes the check with a 2x margin over the rank
+    # reduction's drift (at most 1e-9 relative).
+    stop = 0.5 * _certificate_tolerance(f)
+    feas_tol = stop / (scale * (1.0 + float(np.max(np.abs(rhs)))))
     constraints = _constraints_from_system(system, rhs)
     problem = sdp.SdpProblem(len(system.basis), 0, constraints)
     sol = sdp.solve(
-        problem,
-        sdp.SolveOptions(feas_tol=opts.feas_tol, max_iter=opts.max_iter),
+        problem, sdp.SolveOptions(feas_tol=feas_tol, max_iter=opts.max_iter)
     )
 
     if sol.status == sdp.INFEASIBLE_EVIDENCE:
@@ -642,19 +669,18 @@ def _certify_monolithic(
             message="separating certificate found for the Gram system",
         )
 
-    if sol.primal_residual <= 2e-6:
-        # the certificate residual check below is the binding tolerance, so a
-        # near-feasible iterate is worth finishing even on an iteration cap
-        finished = _finish_certificate(sol.X, system, f, scale, opts)
-        if isinstance(finished, SosCertificate):
-            return finished
-        if sol.status == sdp.OPTIMAL:
-            return finished
+    finished = _finish_certificate(sol.X, system, f, scale, opts)
+    if isinstance(finished, SosCertificate) or sol.status == sdp.OPTIMAL:
+        # an iterate that met the stop rule is finished either way; the
+        # retries below are for iterates stopped at the iteration cap
+        return finished
 
     if opts.facial_reduction:
-        reduced = _facial_reduction_solve(fs, system, opts)
+        reduced = _facial_reduction_solve(fs, system, feas_tol, opts)
         if reduced is not None:
-            return _finish_certificate(reduced, system, f, scale, opts)
+            finished = _finish_certificate(reduced, system, f, scale, opts)
+            if isinstance(finished, SosCertificate):
+                return finished
 
     deeper = _negative_point_scan(f, opts.seed + 1, restarts=120, iters=400)
     if deeper is not None:
@@ -666,7 +692,8 @@ def _certify_monolithic(
     return NotCertified(
         "inconclusive",
         message=f"solver stopped after {sol.iterations} iterations "
-        f"with primal residual {sol.primal_residual:.3g}",
+        f"with primal residual {sol.primal_residual * scale:.3g} "
+        f"above stop tolerance {stop:.3g}",
     )
 
 
@@ -677,6 +704,7 @@ def _finish_certificate(
     scale: float,
     opts: CertifyOptions,
 ) -> Union[SosCertificate, NotCertified]:
+    """Unscale, rank-reduce and check a solver iterate against f."""
     Q = sdp.psd_project(np.asarray(X) * scale)
     Q = reduce_to_extreme(Q, system)
     Q = sdp.psd_project(Q)
@@ -685,7 +713,7 @@ def _finish_certificate(
         (abs(float(recon.coefficient(a)) - float(f.coefficient(a))) for a in system.alphas),
         default=0.0,
     )
-    tol = 1e-6 * (1.0 + f.max_abs_coefficient())
+    tol = _certificate_tolerance(f)
     if residual > tol:
         return NotCertified(
             "inconclusive",
@@ -696,14 +724,20 @@ def _finish_certificate(
 
 
 def _facial_reduction_solve(
-    fs: HomogeneousPolynomial, system: GramSystem, opts: CertifyOptions
+    fs: HomogeneousPolynomial,
+    system: GramSystem,
+    feas_tol: float,
+    opts: CertifyOptions,
 ) -> Optional[np.ndarray]:
     """Retry feasibility after quotienting out detected zeros of the form.
 
     A zero x* of a PSD form forces Q z(x*) = 0 for every Gram matrix, so the
     search can be restricted to the orthogonal complement of the observed
     z(x*) directions, which restores interior-point-like geometry for forms
-    on the boundary of the cone.
+    on the boundary of the cone.  The reduced solve has the same right-hand
+    side as the full one and stops at the same `feas_tol`.  Returns the
+    lifted iterate unless no zero was seen or the solver found Farkas
+    evidence; the caller's certificate check decides.
     """
     n, m = fs.dim, fs.degree
     scale = fs.max_abs_coefficient() or 1.0
@@ -749,9 +783,9 @@ def _facial_reduction_solve(
         )
     problem = sdp.SdpProblem(r, 0, constraints)
     sol = sdp.solve(
-        problem, sdp.SolveOptions(feas_tol=opts.feas_tol, max_iter=opts.max_iter)
+        problem, sdp.SolveOptions(feas_tol=feas_tol, max_iter=opts.max_iter)
     )
-    if sol.status != sdp.OPTIMAL:
+    if sol.status == sdp.INFEASIBLE_EVIDENCE:
         return None
     return P @ sol.X @ P.T
 
@@ -763,15 +797,7 @@ def _certify_blockwise(
     opts: CertifyOptions,
 ) -> Union[SosCertificate, NotCertified]:
     n, m = f.dim, f.degree
-    sub_opts = CertifyOptions(
-        blockwise="off",
-        feas_tol=opts.feas_tol,
-        max_iter=opts.max_iter,
-        rank_threshold=opts.rank_threshold,
-        point_scan=opts.point_scan,
-        facial_reduction=opts.facial_reduction,
-        seed=opts.seed,
-    )
+    sub_opts = replace(opts, blockwise="off")
     total_rank = 0
     residual = 0.0
     squares: List[HomogeneousPolynomial] = []

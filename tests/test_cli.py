@@ -198,6 +198,15 @@ class TestCliCommands:
         assert "non-finite" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["sos", "eigmin", "pd"])
+    def test_odd_order_rejected(self, tmp_path, capsys, command):
+        path = tmp_path / "t.txt"
+        path.write_text("tensor 3 2\n1 1 1 1\n2 2 2 1\n")
+        assert main([command, str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "input error" in err
+        assert "even order" in err
+
     def test_missing_file(self, capsys):
         assert main(["classify", "/nonexistent/tensor.txt"]) == EXIT_USAGE
 

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sostensor import generators
+from sostensor import generators, sdp
 from sostensor.sos import (
+    CERTIFICATE_TOL,
     CertifyOptions,
     NotCertified,
     SosCertificate,
@@ -333,3 +334,67 @@ class TestCertificateSoundness:
             assert cert.residual <= 1e-6 * (1 + f.max_abs_coefficient())
             assert np.linalg.eigvalsh(cert.gram)[0] >= -1e-8
             assert cert.rank_estimate <= math.ceil(lambda_bound(4, 3))
+
+
+def _independent_residual(A, cert):
+    """Largest coefficient gap of z' Q z against A's form, from the basis."""
+    f = A.to_polynomial()
+    B = cert.basis.exponents
+    recon = {}
+    for p, bp in enumerate(B):
+        for q, bq in enumerate(B):
+            alpha = tuple(x + y for x, y in zip(bp, bq))
+            recon[alpha] = recon.get(alpha, 0.0) + float(cert.gram[p, q])
+    keys = set(recon) | set(f.terms)
+    return max(abs(recon.get(a, 0.0) - float(f.coefficient(a))) for a in keys)
+
+
+class TestStopRule:
+    """The Gram SDP stops at half the certificate tolerance, in the form's
+    own units, and only the certificate check accepts an iterate."""
+
+    @staticmethod
+    def _cauchy(scale=1.0):
+        A = generators.random_class_instance("cauchy_psd", 4, 3, 40004)
+        return from_polynomial(A.to_polynomial().scale(scale))
+
+    @staticmethod
+    def _count_iterations(monkeypatch):
+        counts = []
+        solve = sdp.solve
+
+        def counting(problem, opts=None):
+            sol = solve(problem, opts)
+            counts.append(sol.iterations)
+            return sol
+
+        monkeypatch.setattr(sdp, "solve", counting)
+        return counts
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3])
+    def test_cauchy_certified_within_half_tolerance(self, monkeypatch, scale):
+        A = self._cauchy(scale)
+        counts = self._count_iterations(monkeypatch)
+        cert = certify_sos(A)
+        assert isinstance(cert, SosCertificate)
+        half = 0.5 * CERTIFICATE_TOL * (1 + A.to_polynomial().max_abs_coefficient())
+        assert cert.residual <= half
+        assert _independent_residual(A, cert) <= half
+        Q = 0.5 * (cert.gram + cert.gram.T)
+        w = np.linalg.eigvalsh(Q)
+        assert w[0] >= -1e-12 * max(w[-1], 1.0)
+        if scale == 1.0:
+            # 200k iterations (the cap) at a fixed 1e-8 stop tolerance
+            assert 0 < sum(counts) < 20_000
+
+    def test_iteration_cap_never_accepts_above_tolerance(self):
+        A = self._cauchy()
+        res = certify_sos(A, CertifyOptions(max_iter=50))
+        if isinstance(res, SosCertificate):
+            tol = CERTIFICATE_TOL * (1 + A.to_polynomial().max_abs_coefficient())
+            assert res.residual <= tol
+            assert _independent_residual(A, res) <= tol
+        else:
+            assert res.status == "inconclusive"
+            assert "after 50 iterations" in res.message
+            assert "stop tolerance" in res.message
