@@ -19,6 +19,7 @@ import numpy as np
 from .structured import (
     cauchy_tensor,
     double_b_quantities,
+    row_tables,
 )
 from .tensor import (
     Number,
@@ -124,25 +125,21 @@ def random_cauchy_psd(order: int, dim: int, rng: np.random.Generator) -> Symmetr
 
 
 def random_weak_diag_dominated(order: int, dim: int, rng: np.random.Generator) -> SymmetricTensor:
-    from .structured import delta_index_set, row_weak_offsum
-
     count = int(rng.integers(1, 2 * dim))
     entries: Dict[Tuple[int, ...], float] = {}
     for idx in _random_mixed_indices(rng, order, dim, count):
         entries[idx] = float(rng.uniform(-1.0, 1.0))
     draft = SymmetricTensor(order, dim, entries)
-    delta = delta_index_set(draft)
+    weak = row_tables(draft).weak_offsum
     diag = {}
     for i in range(dim):
-        need = float(row_weak_offsum(draft, i, delta))
+        need = float(weak[i])
         diag[(i,) * order] = need + float(rng.uniform(0.05, 0.6))
     entries.update(diag)
     return SymmetricTensor(order, dim, entries)
 
 
 def random_b0(order: int, dim: int, rng: np.random.Generator) -> SymmetricTensor:
-    from .structured import row_max_off_entry, row_sum
-
     count = int(rng.integers(dim, 3 * dim))
     entries: Dict[Tuple[int, ...], float] = {}
     for idx in _random_mixed_indices(rng, order, dim, count):
@@ -150,10 +147,11 @@ def random_b0(order: int, dim: int, rng: np.random.Generator) -> SymmetricTensor
     draft = SymmetricTensor(order, dim, entries)
     nm1 = dim ** (order - 1)
     margin = float(rng.uniform(0.05, 0.3))
+    rows = row_tables(draft)
     diag = {}
     for i in range(dim):
-        worst = max(0.0, float(row_max_off_entry(draft, i)))
-        off = float(row_sum(draft, i))
+        worst = max(0.0, float(rows.max_off_entry[i]))
+        off = float(rows.row_sum[i])
         diag[(i,) * order] = max(0.0, nm1 * (worst + margin) - off)
     entries.update(diag)
     return SymmetricTensor(order, dim, entries)
@@ -185,15 +183,14 @@ def random_mb0(order: int, dim: int, rng: np.random.Generator) -> SymmetricTenso
 
 
 def random_h_nonneg_diag(order: int, dim: int, rng: np.random.Generator) -> SymmetricTensor:
-    from .structured import row_absolute_offsum
-
     count = int(rng.integers(1, 2 * dim))
     entries: Dict[Tuple[int, ...], float] = {}
     for idx in _random_mixed_indices(rng, order, dim, count):
         entries[idx] = float(rng.uniform(-0.5, 0.5))
     draft = SymmetricTensor(order, dim, entries)
+    offsums = row_tables(draft).absolute_offsum
     for i in range(dim):
-        entries[(i,) * order] = float(row_absolute_offsum(draft, i)) + float(
+        entries[(i,) * order] = float(offsums[i]) + float(
             rng.uniform(0.1, 0.5)
         )
     dominated = SymmetricTensor(order, dim, entries)
@@ -210,15 +207,14 @@ def random_h_nonneg_diag(order: int, dim: int, rng: np.random.Generator) -> Symm
 
 
 def random_abs_psd_z(order: int, dim: int, rng: np.random.Generator) -> SymmetricTensor:
-    from .structured import row_absolute_offsum
-
     count = int(rng.integers(1, 2 * dim))
     entries: Dict[Tuple[int, ...], float] = {}
     for idx in _random_mixed_indices(rng, order, dim, count):
         entries[idx] = -float(rng.uniform(0.0, 0.5))
     draft = SymmetricTensor(order, dim, entries)
+    offsums = row_tables(draft).absolute_offsum
     for i in range(dim):
-        entries[(i,) * order] = float(row_absolute_offsum(draft, i)) + float(
+        entries[(i,) * order] = float(offsums[i]) + float(
             rng.uniform(0.05, 0.4)
         )
     psd_z = SymmetricTensor(order, dim, entries)

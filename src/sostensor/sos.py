@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import sdp
 from .descent import sphere_minimize
-from .structured import delta_index_set, detect_extended_z, row_absolute_offsum
+from .structured import delta_index_set, detect_extended_z, row_tables
 from .tensor import (
     Exponent,
     HomogeneousPolynomial,
@@ -66,8 +66,16 @@ class MonomialBasis:
     def __len__(self) -> int:
         return len(self.exponents)
 
+    @cached_property
+    def _positions(self) -> Dict[Exponent, int]:
+        return {alpha: p for p, alpha in enumerate(self.exponents)}
+
     def index_of(self, alpha: Exponent) -> int:
-        return self.exponents.index(alpha)
+        """Position of `alpha` in the basis; ValueError if it is not there."""
+        try:
+            return self._positions[tuple(alpha)]
+        except KeyError:
+            raise ValueError(f"exponent {tuple(alpha)} is not in the basis") from None
 
     def evaluate(self, x: Sequence[float]) -> np.ndarray:
         out = np.ones(len(self.exponents))
@@ -395,11 +403,10 @@ def gershgorin_lower_bound(A: SymmetricTensor) -> float:
     f - bound * sum x_i^m is diagonally dominated, hence itself a sum of
     squares for even order.
     """
+    offsums = row_tables(A).absolute_offsum
     out = math.inf
     for i in range(A.dim):
-        out = min(
-            out, float(A.diagonal_entry(i)) - float(row_absolute_offsum(A, i))
-        )
+        out = min(out, float(A.diagonal_entry(i)) - float(offsums[i]))
     return out if A.dim else 0.0
 
 
@@ -820,23 +827,16 @@ def _certify_blockwise(
         residual = max(residual, result.residual)
         structure.append(tuple(vars_))
         # lift block squares and Gram entries back to the full variable set
-        lift_index = {}
-        for p_local, alpha in enumerate(result.basis.exponents):
+        lifted = {}
+        for alpha in result.basis.exponents:
             full = [0] * n
             for j, v in enumerate(vars_):
                 full[v] = alpha[j]
-            lift_index[p_local] = basis.index_of(tuple(full))
+            lifted[alpha] = tuple(full)
         for s in result.squares:
-            terms = {}
-            for alpha, c in s.terms.items():
-                full = [0] * n
-                for j, v in enumerate(vars_):
-                    full[v] = alpha[j]
-                terms[tuple(full)] = c
+            terms = {lifted[alpha]: c for alpha, c in s.terms.items()}
             squares.append(HomogeneousPolynomial(m // 2, n, terms))
-        for p_local in range(len(result.basis)):
-            for q_local in range(len(result.basis)):
-                v = result.gram[p_local, q_local]
-                if v != 0.0:
-                    Q_full[lift_index[p_local], lift_index[q_local]] += v
+        # blocks share no variable, so no two blocks lift onto one position
+        lift = np.array([basis.index_of(full) for full in lifted.values()], dtype=np.intp)
+        Q_full[np.ix_(lift, lift)] += result.gram
     return SosCertificate(basis, Q_full, squares, total_rank, residual, structure)

@@ -30,7 +30,6 @@ from .tensor import (
     all_one_tensor,
     comparison_tensor,
     identity_tensor,
-    index_to_exponent,
     multiplicity,
     partially_all_one,
 )
@@ -81,7 +80,7 @@ def delta_index_set(A: SymmetricTensor) -> Set[Exponent]:
 
 
 # ---------------------------------------------------------------------------
-# row scans over canonical storage
+# row tables over canonical storage
 #
 # The number of row-i tuples (i, i2, ..., im) that sort to a canonical index
 # idx containing i with count c_i is multiplicity(idx) * c_i / m.
@@ -92,54 +91,51 @@ def _row_tuple_count(idx: Index, i: int, order: int) -> int:
     return multiplicity(idx) * c // order if c else 0
 
 
-def row_absolute_offsum(A: SymmetricTensor, i: int) -> Number:
-    """Sum of |entries| over all off-diagonal tuples in row i."""
-    diag = (i,) * A.order
-    total: Number = 0
+@dataclass(frozen=True)
+class RowTables:
+    """Per-row quantities of a tensor, indexed by row i.
+
+    absolute_offsum  sum of |entries| over the off-diagonal tuples of row i
+    weak_offsum      the same over tuples whose exponent vector lies in the
+                     delta index set (None for odd order)
+    row_sum          sum of entries over all tuples of row i
+    max_off_entry    largest off-diagonal entry of row i, at least 0 (entries
+                     absent from the sparse map are zero)
+    """
+
+    absolute_offsum: List[Number]
+    weak_offsum: Optional[List[Number]]
+    row_sum: List[Number]
+    max_off_entry: List[Number]
+
+
+def row_tables(A: SymmetricTensor) -> RowTables:
+    """All row quantities from one pass over the canonical entries.
+
+    Each row accumulates its terms in entry order starting from int 0, so
+    exact (int, Fraction) entries give exact sums.
+    """
+    n, m = A.dim, A.order
+    absolute: List[Number] = [0] * n
+    weak: Optional[List[Number]] = [0] * n if m % 2 == 0 else None
+    sums: List[Number] = [0] * n
+    best: List[Number] = [0] * n
     for idx, v in A.entries.items():
-        if idx == diag or i not in idx:
-            continue
-        total = total + _row_tuple_count(idx, i, A.order) * abs(v)
-    return total
-
-
-def row_weak_offsum(A: SymmetricTensor, i: int, delta: Set[Exponent]) -> Number:
-    """Like row_absolute_offsum but restricted to the delta index set."""
-    diag = (i,) * A.order
-    total: Number = 0
-    for idx, v in A.entries.items():
-        if idx == diag or i not in idx:
-            continue
-        if index_to_exponent(idx, A.dim) in delta:
-            total = total + _row_tuple_count(idx, i, A.order) * abs(v)
-    return total
-
-
-def row_sum(A: SymmetricTensor, i: int) -> Number:
-    """Full row sum including the diagonal tuple."""
-    total: Number = 0
-    for idx, v in A.entries.items():
-        if i in idx:
-            total = total + _row_tuple_count(idx, i, A.order) * v
-    return total
-
-
-def row_max_off_entry(A: SymmetricTensor, i: int) -> Number:
-    """Largest off-diagonal entry value in row i (zero counts: entries absent
-    from the sparse map are zero, and rows always have off positions for n>1)."""
-    diag = (i,) * A.order
-    best: Number = 0 if A.dim > 1 else 0
-    stored = 0
-    total_off = A.dim ** (A.order - 1) - 1
-    for idx, v in A.entries.items():
-        if idx == diag or i not in idx:
-            continue
-        stored += _row_tuple_count(idx, i, A.order)
-        if v > best:
-            best = v
-    if stored < total_off and best < 0:
-        best = 0  # unstored zero positions participate in the maximum
-    return best
+        counts = Counter(idx)
+        mult = multiplicity(idx)
+        off = len(counts) > 1
+        in_delta = off and (v < 0 or any(c % 2 == 1 for c in counts.values()))
+        for i, c in counts.items():
+            k = mult * c // m
+            sums[i] = sums[i] + k * v
+            if not off:
+                continue
+            absolute[i] = absolute[i] + k * abs(v)
+            if weak is not None and in_delta:
+                weak[i] = weak[i] + k * abs(v)
+            if v > best[i]:
+                best[i] = v
+    return RowTables(absolute, weak, sums, best)
 
 
 def is_z_tensor(A: SymmetricTensor) -> Tuple[bool, Optional[Index]]:
@@ -172,16 +168,16 @@ def is_diagonally_dominated(
     variant sums only tuples whose exponent vector lies in the delta index
     set.  The weak variant needs even order and is reported as None otherwise.
     """
-    delta = delta_index_set(A) if A.order % 2 == 0 else None
+    rows = row_tables(A)
     strict = True
-    weak: Optional[bool] = True if delta is not None else None
+    weak: Optional[bool] = True if rows.weak_offsum is not None else None
     boundary = False
     witness = None
     slacks = []
     scale = 1.0 + max((abs(float(v)) for v in A.entries.values()), default=0.0)
     for i in range(A.dim):
         d = float(A.diagonal_entry(i))
-        s_all = float(row_absolute_offsum(A, i))
+        s_all = float(rows.absolute_offsum[i])
         slack = d - s_all
         slacks.append(slack)
         if abs(slack) <= tol * scale:
@@ -190,8 +186,8 @@ def is_diagonally_dominated(
             strict = False
             if witness is None:
                 witness = i
-        if delta is not None:
-            s_weak = float(row_weak_offsum(A, i, delta))
+        if rows.weak_offsum is not None:
+            s_weak = float(rows.weak_offsum[i])
             if d - s_weak < -tol * scale and weak:
                 weak = False
                 if witness is None:
@@ -210,12 +206,13 @@ def is_b0(
     n, m = A.dim, A.order
     nm1 = n ** (m - 1)
     scale = 1.0 + max((abs(float(v)) for v in A.entries.values()), default=0.0)
+    rows = row_tables(A)
     for i in range(n):
-        rs = float(row_sum(A, i))
+        rs = float(rows.row_sum[i])
         if rs < -tol * scale:
             return False, {"row": i, "condition": "row_sum", "value": rs}
         threshold = rs / nm1
-        worst = float(row_max_off_entry(A, i))
+        worst = float(rows.max_off_entry[i])
         if threshold < worst - tol * scale:
             return False, {
                 "row": i,
@@ -293,22 +290,42 @@ def double_b_quantities(
     delta[i] = sum over off-row tuples of (beta[i] - entry)
     delta_ij = delta[j] - (beta[j] - b[j, i, i, ..., i])   for i != j
     """
+    beta, delta, delta_ij, _ = _double_b(B)
+    return beta, delta, delta_ij
+
+
+def _double_b(
+    B: SymmetricTensor,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`double_b_quantities` plus the tail entries tail[i, j] = b[j, i, ..., i]."""
     n, m = B.dim, B.order
     nm1 = n ** (m - 1)
+    rows = row_tables(B)
     beta = np.zeros(n)
     delta = np.zeros(n)
     for i in range(n):
-        beta[i] = max(0.0, float(row_max_off_entry(B, i)))
-        off = float(row_sum(B, i)) - float(B.diagonal_entry(i))
+        beta[i] = max(0.0, float(rows.max_off_entry[i]))
+        off = float(rows.row_sum[i]) - float(B.diagonal_entry(i))
         delta[i] = (nm1 - 1) * beta[i] - off
-    delta_ij = np.zeros((n, n))
-    for j in range(n):
-        for i in range(n):
-            if i == j:
-                continue
-            tail = float(B.entry((j,) + (i,) * (m - 1)))
-            delta_ij[i, j] = delta[j] - (beta[j] - tail)
-    return beta, delta, delta_ij
+    tail = _tail_entries(B)
+    delta_ij = delta[None, :] - (beta[None, :] - tail)
+    np.fill_diagonal(delta_ij, 0.0)
+    return beta, delta, delta_ij, tail
+
+
+def _tail_entries(B: SymmetricTensor) -> np.ndarray:
+    """tail[i, j] = b[j, i, ..., i] (j once, i m-1 times) for i != j; zero
+    on the diagonal."""
+    n, m = B.dim, B.order
+    get = B.entries.get
+    rows = []
+    for i in range(n):
+        run = (i,) * (m - 1)
+        rows.append([
+            0.0 if j == i else float(get((j,) + run if j < i else run + (j,), 0))
+            for j in range(n)
+        ])
+    return np.array(rows)
 
 
 @dataclass(frozen=True)
@@ -339,8 +356,8 @@ def classify_b_family(
     shifted operator is applied implicitly so the dense shift never needs to
     be materialized.
     """
-    n, m = B.dim, B.order
-    beta, delta, delta_ij = double_b_quantities(B)
+    n = B.dim
+    beta, delta, delta_ij, tail = _double_b(B)
     diag = np.array([float(B.diagonal_entry(i)) for i in range(n)])
     gap = diag - beta
     scale = 1.0 + float(np.max(np.abs(diag)) if n else 0.0) + float(np.max(beta))
@@ -351,23 +368,19 @@ def classify_b_family(
     positive_gap_relaxed = bool(np.all(gap > -band))
 
     dom = bool(np.all(gap - delta >= -band))
-    pairwise = True
-    quasi = True
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            lhs = gap[i] * gap[j]
-            rhs = delta[i] * delta[j]
-            if not lhs > rhs + band * band:
-                if abs(lhs - rhs) <= band * (1 + abs(lhs) + abs(rhs)):
-                    boundary = True
-                pairwise = False
-            tail = float(B.entry((j,) + (i,) * (m - 1)))
-            q_lhs = gap[i] * (gap[j] - delta_ij[i, j])
-            q_rhs = (beta[j] - tail) * delta[i]
-            if q_lhs < q_rhs - band * (1 + abs(q_lhs) + abs(q_rhs)):
-                quasi = False
+    # pairwise and quasi conditions over all ordered pairs i != j
+    pairs = ~np.eye(n, dtype=bool)
+    lhs = gap[:, None] * gap[None, :]
+    rhs = delta[:, None] * delta[None, :]
+    unmet = pairs & ~(lhs > rhs + band * band)
+    pairwise = not bool(np.any(unmet))
+    if np.any(unmet & (np.abs(lhs - rhs) <= band * (1 + np.abs(lhs) + np.abs(rhs)))):
+        boundary = True
+    q_lhs = gap[:, None] * (gap[None, :] - delta_ij)
+    q_rhs = (beta[None, :] - tail) * delta[:, None]
+    quasi = not bool(np.any(
+        pairs & (q_lhs < q_rhs - band * (1 + np.abs(q_lhs) + np.abs(q_rhs)))
+    ))
 
     double_b = positive_gap and dom and pairwise
     quasi_double_b0 = positive_gap and quasi

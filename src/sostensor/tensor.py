@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -170,17 +170,44 @@ class HomogeneousPolynomial:
             return 0.0
         return max(abs(float(c)) for c in self.terms.values())
 
+    @cached_property
+    def _support_index(
+        self,
+    ) -> Tuple[List[Tuple[Tuple[Tuple[int, int], ...], Number]], Dict[int, List[int]]]:
+        """Each term as its support, (variable, exponent) pairs, with its
+        coefficient, in term order; and for each variable the positions of
+        the terms using it.  Built once per form, so that `restrict` costs
+        what the block's own terms cost."""
+        supported = []
+        users: Dict[int, List[int]] = {}
+        for t, (alpha, c) in enumerate(self.terms.items()):
+            support = tuple((v, e) for v, e in enumerate(alpha) if e)
+            supported.append((support, c))
+            for v, _ in support:
+                users.setdefault(v, []).append(t)
+        return supported, users
+
     def restrict(self, variables: Sequence[int]) -> "HomogeneousPolynomial":
-        """Project onto the terms supported inside `variables` (re-indexed)."""
+        """Project onto the terms supported inside `variables` (re-indexed).
+
+        The j-th variable of the result is variables[j]; terms keep their
+        order in this form.
+        """
         vs = list(variables)
         pos = {v: j for j, v in enumerate(vs)}
+        supported, users = self._support_index
+        # only terms using a kept variable can survive, except a degree-0
+        # term, which uses none
+        hits = set(range(len(supported))) if self.degree == 0 else set()
+        for v in pos:
+            hits.update(users.get(v, ()))
         terms: Dict[Exponent, Number] = {}
-        for alpha, c in self.terms.items():
-            if all(e == 0 or v in pos for v, e in enumerate(alpha)):
+        for t in sorted(hits):
+            support, c = supported[t]
+            if all(v in pos for v, _ in support):
                 beta = [0] * len(vs)
-                for v, e in enumerate(alpha):
-                    if e:
-                        beta[pos[v]] = e
+                for v, e in support:
+                    beta[pos[v]] = e
                 terms[tuple(beta)] = c
         return HomogeneousPolynomial(self.degree, len(vs), terms)
 

@@ -110,3 +110,140 @@ def random_extended_z_tensor(rng, order, dim) -> SymmetricTensor:
             for idx in picks:
                 entries[idx] = -float(rng.uniform(0.0, 1.0))
     return SymmetricTensor(order, dim, entries)
+
+
+# ---------------------------------------------------------------------------
+# reference definitions: the straightforward scans the library's indexed and
+# one-pass versions must reproduce exactly (same terms, same order, same
+# floating-point sums)
+
+
+def reference_restrict(f, variables):
+    """HomogeneousPolynomial.restrict by a scan of every full exponent vector."""
+    from sostensor.tensor import HomogeneousPolynomial
+
+    vs = list(variables)
+    pos = {v: j for j, v in enumerate(vs)}
+    terms = {}
+    for alpha, c in f.terms.items():
+        if all(e == 0 or v in pos for v, e in enumerate(alpha)):
+            beta = [0] * len(vs)
+            for v, e in enumerate(alpha):
+                if e:
+                    beta[pos[v]] = e
+            terms[tuple(beta)] = c
+    return HomogeneousPolynomial(f.degree, len(vs), terms)
+
+
+def _row_tuple_count(idx, i, order):
+    from sostensor.tensor import multiplicity
+
+    c = idx.count(i)
+    return multiplicity(idx) * c // order if c else 0
+
+
+def reference_row_absolute_offsum(A, i):
+    """Sum of |entries| over the off-diagonal tuples of row i, one row scan."""
+    diag = (i,) * A.order
+    total = 0
+    for idx, v in A.entries.items():
+        if idx == diag or i not in idx:
+            continue
+        total = total + _row_tuple_count(idx, i, A.order) * abs(v)
+    return total
+
+
+def reference_row_weak_offsum(A, i):
+    """The off-diagonal sum restricted to the delta index set of A."""
+    from sostensor.structured import delta_index_set
+    from sostensor.tensor import index_to_exponent
+
+    delta = delta_index_set(A)
+    diag = (i,) * A.order
+    total = 0
+    for idx, v in A.entries.items():
+        if idx == diag or i not in idx:
+            continue
+        if index_to_exponent(idx, A.dim) in delta:
+            total = total + _row_tuple_count(idx, i, A.order) * abs(v)
+    return total
+
+
+def reference_row_sum(A, i):
+    total = 0
+    for idx, v in A.entries.items():
+        if i in idx:
+            total = total + _row_tuple_count(idx, i, A.order) * v
+    return total
+
+
+def reference_row_max_off_entry(A, i):
+    """Largest off-diagonal entry of row i; unstored positions count as 0."""
+    diag = (i,) * A.order
+    best = 0
+    for idx, v in A.entries.items():
+        if idx == diag or i not in idx:
+            continue
+        if v > best:
+            best = v
+    return best
+
+
+def reference_gershgorin(A):
+    out = np.inf
+    for i in range(A.dim):
+        out = min(
+            out, float(A.diagonal_entry(i)) - float(reference_row_absolute_offsum(A, i))
+        )
+    return out
+
+
+def reference_double_b_quantities(B):
+    n, m = B.dim, B.order
+    nm1 = n ** (m - 1)
+    beta = np.zeros(n)
+    delta = np.zeros(n)
+    for i in range(n):
+        beta[i] = max(0.0, float(reference_row_max_off_entry(B, i)))
+        off = float(reference_row_sum(B, i)) - float(B.diagonal_entry(i))
+        delta[i] = (nm1 - 1) * beta[i] - off
+    delta_ij = np.zeros((n, n))
+    for j in range(n):
+        for i in range(n):
+            if i == j:
+                continue
+            tail = float(B.entry((j,) + (i,) * (m - 1)))
+            delta_ij[i, j] = delta[j] - (beta[j] - tail)
+    return beta, delta, delta_ij
+
+
+def reference_double_b_pairs(B, tol):
+    """(double_b, quasi_double_b0, boundary before the MB0 check) by the
+    pairwise loop over i != j."""
+    n, m = B.dim, B.order
+    beta, delta, delta_ij = reference_double_b_quantities(B)
+    diag = np.array([float(B.diagonal_entry(i)) for i in range(n)])
+    gap = diag - beta
+    scale = 1.0 + float(np.max(np.abs(diag))) + float(np.max(beta))
+    band = tol * scale
+    boundary = bool(np.any(np.abs(gap) <= band))
+    positive_gap = bool(np.all(gap > band))
+    dom = bool(np.all(gap - delta >= -band))
+    pairwise = True
+    quasi = True
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            lhs = gap[i] * gap[j]
+            rhs = delta[i] * delta[j]
+            if not lhs > rhs + band * band:
+                if abs(lhs - rhs) <= band * (1 + abs(lhs) + abs(rhs)):
+                    boundary = True
+                pairwise = False
+            tail = float(B.entry((j,) + (i,) * (m - 1)))
+            q_lhs = gap[i] * (gap[j] - delta_ij[i, j])
+            q_rhs = (beta[j] - tail) * delta[i]
+            if q_lhs < q_rhs - band * (1 + abs(q_lhs) + abs(q_rhs)):
+                quasi = False
+    return positive_gap and dom and pairwise, positive_gap and quasi, boundary

@@ -56,6 +56,16 @@ class TestMonomialBasis:
         b = monomial_basis(3, 4)
         assert len(set(b.exponents)) == len(b.exponents)
 
+    def test_index_of_hit(self):
+        b = monomial_basis(4, 2)
+        for p, alpha in enumerate(b.exponents):
+            assert b.index_of(alpha) == p
+
+    @pytest.mark.parametrize("alpha", [(1, 1, 1, 0), (2, 0, 0), (3, -1, 0, 0)])
+    def test_index_of_miss_raises_value_error(self, alpha):
+        with pytest.raises(ValueError):
+            monomial_basis(4, 2).index_of(alpha)
+
 
 class TestGramSystem:
     def test_square_of_sum_constraints(self):
@@ -121,6 +131,39 @@ class TestCertify:
         cert = certify_sos(A, CertifyOptions(blockwise="auto"))
         assert isinstance(cert, SosCertificate)
         assert cert.block_structure == [(0, 1), (2, 3)]
+
+    def test_blockwise_gram_is_lifted_block_grams(self):
+        from dataclasses import replace
+
+        from sostensor.sos import _certify_monolithic
+        from sostensor.structured import detect_extended_z
+        from sostensor.tensor import SymmetricTensor
+
+        n = 20
+        perm = np.random.default_rng(5).permutation(n)
+        base = generators.example54(n)
+        A = SymmetricTensor(4, n, {
+            tuple(sorted(int(perm[i]) for i in idx)): v for idx, v in base.entries.items()
+        })
+        cert = certify_sos(A)
+        assert isinstance(cert, SosCertificate)
+        blocks = detect_extended_z(A).blocks
+        assert cert.block_structure == [b.variables for b in blocks]
+        f = A.to_polynomial()
+        covered = np.zeros(cert.gram.shape, dtype=bool)
+        for block in blocks:
+            own = _certify_monolithic(
+                f.restrict(block.variables), replace(CertifyOptions(), blockwise="off")
+            )
+            lift = []
+            for alpha in own.basis.exponents:
+                full = [0] * n
+                for j, v in enumerate(block.variables):
+                    full[v] = alpha[j]
+                lift.append(cert.basis.index_of(tuple(full)))
+            assert np.array_equal(cert.gram[np.ix_(lift, lift)], own.gram)
+            covered[np.ix_(lift, lift)] = True
+        assert not np.any(cert.gram[~covered])
 
     def test_negative_diagonal_fast_path(self):
         A = poly_tensor(4, 2, {(4, 0): -1, (0, 4): 1})
@@ -295,14 +338,14 @@ class TestGershgorin:
 
     def test_strictly_dominated_nonnegative(self):
         rng = np.random.default_rng(12)
-        from sostensor.structured import row_absolute_offsum
+        from sostensor.structured import row_tables
         from sostensor.tensor import SymmetricTensor
 
         base = random_symmetric_tensor(rng, 4, 3)
         entries = {idx: v for idx, v in base.entries.items() if len(set(idx)) > 1}
         draft = SymmetricTensor(4, 3, entries)
         for i in range(3):
-            entries[(i,) * 4] = float(row_absolute_offsum(draft, i)) + 0.2
+            entries[(i,) * 4] = float(row_tables(draft).absolute_offsum[i]) + 0.2
         A = SymmetricTensor(4, 3, entries)
         assert gershgorin_lower_bound(A) >= 0
 

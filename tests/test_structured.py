@@ -22,7 +22,7 @@ from sostensor.structured import (
     is_diagonally_dominated,
     is_h_tensor,
     is_z_tensor,
-    row_absolute_offsum,
+    row_tables,
     spectral_radius_nonnegative,
 )
 from sostensor.tensor import (
@@ -35,7 +35,16 @@ from sostensor.tensor import (
     partially_all_one,
 )
 
-from helpers import random_symmetric_tensor
+from helpers import (
+    random_symmetric_tensor,
+    reference_double_b_pairs,
+    reference_double_b_quantities,
+    reference_gershgorin,
+    reference_row_absolute_offsum,
+    reference_row_max_off_entry,
+    reference_row_sum,
+    reference_row_weak_offsum,
+)
 
 
 def poly_tensor(degree, dim, terms):
@@ -56,6 +65,111 @@ class TestDeltaIndexSet:
         assert delta_index_set(A) == {(3, 1)}
 
 
+def _random_exact_or_float_tensor(rng, order, dim, kind):
+    base = random_symmetric_tensor(rng, order, dim, density=0.5)
+    if kind == "int":
+        entries = {idx: int(round(10 * v)) for idx, v in base.entries.items()}
+    elif kind == "fraction":
+        entries = {idx: Fraction(int(round(100 * v)), 7) for idx, v in base.entries.items()}
+    else:
+        entries = dict(base.entries)
+    return SymmetricTensor(order, dim, entries)
+
+
+class TestRowTables:
+    """The one-pass row tables equal the per-row scans exactly."""
+
+    @pytest.mark.parametrize("kind", ["int", "fraction", "float"])
+    @pytest.mark.parametrize("order,dim", [(2, 5), (4, 4), (6, 3)])
+    def test_tables_match_row_scans(self, order, dim, kind):
+        rng = np.random.default_rng(order * 10 + dim)
+        for _ in range(5):
+            A = _random_exact_or_float_tensor(rng, order, dim, kind)
+            rows = row_tables(A)
+            for i in range(dim):
+                for got, want in [
+                    (rows.absolute_offsum[i], reference_row_absolute_offsum(A, i)),
+                    (rows.weak_offsum[i], reference_row_weak_offsum(A, i)),
+                    (rows.row_sum[i], reference_row_sum(A, i)),
+                    (rows.max_off_entry[i], reference_row_max_off_entry(A, i)),
+                ]:
+                    assert got == want and type(got) is type(want)
+
+    @pytest.mark.parametrize("kind", ["int", "fraction", "float"])
+    @pytest.mark.parametrize("order,dim", [(2, 5), (4, 4), (6, 3)])
+    def test_readers_match_row_scans(self, order, dim, kind):
+        from sostensor.sos import gershgorin_lower_bound
+
+        rng = np.random.default_rng(order * 10 + dim + 1)
+        for _ in range(5):
+            A = _random_exact_or_float_tensor(rng, order, dim, kind)
+            assert gershgorin_lower_bound(A) == reference_gershgorin(A)
+            slacks = tuple(
+                float(A.diagonal_entry(i)) - float(reference_row_absolute_offsum(A, i))
+                for i in range(dim)
+            )
+            assert is_diagonally_dominated(A).row_slacks == slacks
+            for got, want in zip(double_b_quantities(A), reference_double_b_quantities(A)):
+                assert np.array_equal(got, want)
+
+    def test_odd_order_has_no_weak_sums(self):
+        A = SymmetricTensor(3, 2, {(0, 0, 0): 1, (0, 0, 1): 2})
+        rows = row_tables(A)
+        assert rows.weak_offsum is None
+        assert rows.absolute_offsum == [reference_row_absolute_offsum(A, i) for i in range(2)]
+
+    @staticmethod
+    def assert_b_family_matches_loop(B):
+        from sostensor.structured import BOUNDARY_TOL, _mb0_check
+
+        fam = classify_b_family(B)
+        double_b, quasi, boundary = reference_double_b_pairs(B, BOUNDARY_TOL)
+        beta = reference_double_b_quantities(B)[0]
+        mb0_boundary = _mb0_check(B, beta, BOUNDARY_TOL, 200_000)[1]
+        assert (fam.double_b, fam.quasi_double_b0) == (double_b, quasi)
+        assert fam.boundary == (boundary or mb0_boundary)
+        return double_b, quasi, boundary, mb0_boundary
+
+    @pytest.mark.parametrize("order", [4, 6])
+    def test_b_family_pairs_match_loop(self, order):
+        # off-diagonal entries of both signs, diagonals placed around the
+        # double-B thresholds, so that the verdicts take every combination
+        rng = np.random.default_rng(order)
+        seen = set()
+        for _ in range(150):
+            dim = int(rng.integers(2, 4))
+            base = random_symmetric_tensor(rng, order, dim, density=0.5)
+            entries = {
+                idx: 0.6 * abs(v) - 0.2
+                for idx, v in base.entries.items() if len(set(idx)) > 1
+            }
+            if not entries:
+                continue
+            beta, delta, _ = reference_double_b_quantities(SymmetricTensor(order, dim, entries))
+            for i in range(dim):
+                entries[(i,) * order] = float(
+                    beta[i] + rng.uniform(0.01, 1.5) * max(delta[i], 0.1)
+                )
+            seen.add(self.assert_b_family_matches_loop(SymmetricTensor(order, dim, entries))[:2])
+        assert {(False, False), (True, True)} <= seen
+
+    def test_b_family_pairwise_boundary(self):
+        # gap_0 gap_1 equals delta_0 delta_1 while no gap is near zero and
+        # the MB0 check is clear of its boundary
+        B = SymmetricTensor(4, 2, {(0,) * 4: 2.0, (1,) * 4: 1 / 6, (0, 0, 0, 1): -1 / 3})
+        double_b, _, boundary, mb0_boundary = self.assert_b_family_matches_loop(B)
+        assert not double_b and boundary and not mb0_boundary
+
+    def test_b_family_quasi_pairs_rows_and_columns(self):
+        # quasi-double-B0 holds here, but fails if beta of row i stands in
+        # for beta of row j in the pair (i, j)
+        B = SymmetricTensor(4, 3, {
+            (0, 0, 0, 0): 13.9, (1, 1, 1, 1): 0.2, (2, 2, 2, 2): 22.49,
+            (0, 0, 0, 2): 0.49, (0, 0, 2, 2): 0.04, (1, 2, 2, 2): -0.17,
+        })
+        assert self.assert_b_family_matches_loop(B)[:2] == (True, True)
+
+
 class TestDiagonalDominance:
     def test_identity(self):
         v = is_diagonally_dominated(identity_tensor(4, 3))
@@ -64,13 +178,13 @@ class TestDiagonalDominance:
     def test_example54_row_sums(self):
         A = generators.example54(4)
         # row off-sum is 24 tuples/row-var * 1/4 * 1/6 = 1, against diagonal 4
-        assert float(row_absolute_offsum(A, 0)) == pytest.approx(1.0)
+        assert float(row_tables(A).absolute_offsum[0]) == pytest.approx(1.0)
         v = is_diagonally_dominated(A)
         assert v.strict and v.weak
 
     def test_strict_fails_weak_holds(self):
         A = poly_tensor(4, 2, {(4, 0): 1, (0, 4): 1, (2, 2): 6})
-        assert float(row_absolute_offsum(A, 0)) == pytest.approx(3.0)
+        assert float(row_tables(A).absolute_offsum[0]) == pytest.approx(3.0)
         v = is_diagonally_dominated(A)
         assert not v.strict
         assert v.weak
@@ -83,7 +197,7 @@ class TestDiagonalDominance:
         base = random_symmetric_tensor(rng, 4, 3)
         entries = dict(base.entries)
         for i in range(3):
-            entries[(i,) * 4] = float(row_absolute_offsum(base, i)) + float(
+            entries[(i,) * 4] = float(row_tables(base).absolute_offsum[i]) + float(
                 rng.uniform(0, 1)
             )
         A = SymmetricTensor(4, 3, entries)
@@ -140,13 +254,12 @@ class TestB0:
             }
             draft = SymmetricTensor(4, dim, entries)
             nm1 = dim ** 3
-            from sostensor.structured import row_max_off_entry, row_sum
-
+            rows = row_tables(draft)
             for i in range(dim):
-                worst = row_max_off_entry(draft, i)
+                worst = rows.max_off_entry[i]
                 if not isinstance(worst, Fraction):
                     worst = Fraction(worst)
-                need = nm1 * (worst + Fraction(1, 10)) - row_sum(draft, i)
+                need = nm1 * (worst + Fraction(1, 10)) - rows.row_sum[i]
                 entries[(i,) * 4] = max(Fraction(0), need)
             A = SymmetricTensor(4, dim, entries)
             assert is_b0(A)[0]
@@ -184,7 +297,7 @@ class TestDoubleBFamily:
         A = SymmetricTensor(4, 2, {(0,) * 4: 1, (1,) * 4: 1, (0, 0, 1, 1): -0.5})
         beta, delta, _ = double_b_quantities(A)
         assert np.allclose(beta, 0)
-        assert delta[0] == pytest.approx(float(row_absolute_offsum(A, 0)))
+        assert delta[0] == pytest.approx(float(row_tables(A).absolute_offsum[0]))
 
     def test_near_identity_all_three(self):
         entries = {(0,) * 4: 2.0, (1,) * 4: 2.0}
@@ -240,14 +353,14 @@ class TestHTensor:
         entries = {idx: v for idx, v in base.entries.items() if len(set(idx)) > 1}
         draft = SymmetricTensor(4, 3, entries)
         for i in range(3):
-            entries[(i,) * 4] = float(row_absolute_offsum(draft, i)) + 0.3
+            entries[(i,) * 4] = float(row_tables(draft).absolute_offsum[i]) + 0.3
         A = SymmetricTensor(4, 3, entries)
         v = is_h_tensor(A)
         assert v.h and v.nonsingular
         # the all-one vector also verifies the row inequalities directly
         for i in range(3):
             lhs = abs(float(A.diagonal_entry(i)))
-            rhs = float(row_absolute_offsum(A, i))
+            rhs = float(row_tables(A).absolute_offsum[i])
             assert lhs > rhs
         assert v.margin > 0
 

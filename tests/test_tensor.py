@@ -33,6 +33,7 @@ from helpers import (
     dense_evaluate,
     dense_inner,
     random_symmetric_tensor,
+    reference_restrict,
 )
 
 
@@ -364,3 +365,69 @@ class TestArithmetic:
         D = diagonal_tensor(4, [2, 5])
         assert D.entry((1, 1, 1, 1)) == 5
         assert D.is_diagonal()
+
+
+class TestRestrict:
+    @staticmethod
+    def assert_same(f, variables):
+        got = f.restrict(variables)
+        want = reference_restrict(f, variables)
+        assert (got.degree, got.dim) == (want.degree, want.dim)
+        # same terms with identical coefficients, in the same order
+        assert list(got.terms.items()) == list(want.terms.items())
+
+    @pytest.mark.parametrize("order", [2, 4, 6])
+    def test_random_forms(self, order):
+        rng = np.random.default_rng(order)
+        f = random_symmetric_tensor(rng, order, 5, density=0.4).to_polynomial()
+        for _ in range(20):
+            k = int(rng.integers(1, 6))
+            self.assert_same(f, sorted(rng.choice(5, size=k, replace=False).tolist()))
+
+    def test_fraction_coefficients(self):
+        rng = np.random.default_rng(3)
+        base = random_symmetric_tensor(rng, 4, 4, density=0.6)
+        A = SymmetricTensor(
+            4, 4, {idx: Fraction(int(100 * v), 7) for idx, v in base.entries.items()}
+        )
+        f = A.to_polynomial()
+        for vs in ([0, 1], [1, 2, 3], [0, 1, 2, 3], [2]):
+            self.assert_same(f, vs)
+            assert all(
+                isinstance(c, Fraction) for c in f.restrict(vs).terms.values()
+            )
+
+    def test_unsorted_variables_reindex_in_given_order(self):
+        f = HomogeneousPolynomial(4, 4, {(3, 1, 0, 0): 2, (0, 0, 2, 2): -1, (4, 0, 0, 0): 1})
+        g = f.restrict([1, 0])
+        # x0^3 x1 becomes y1^3 y0, since y0 = x1 and y1 = x0
+        assert g.terms == {(1, 3): 2, (0, 4): 1}
+        for vs in ([1, 0], [3, 2, 0], [2, 3], [3, 1, 2, 0]):
+            self.assert_same(f, vs)
+
+    def test_subset_keeping_no_term(self):
+        f = HomogeneousPolynomial(4, 4, {(2, 2, 0, 0): 1, (1, 1, 1, 1): 3})
+        for vs in ([0], [2, 3], [], [1, 2]):
+            self.assert_same(f, vs)
+            assert f.restrict(vs).terms == {}
+
+    def test_degree_zero_term_survives_every_restriction(self):
+        f = HomogeneousPolynomial(0, 3, {(0, 0, 0): 5})
+        for vs in ([1], [], [2, 0]):
+            self.assert_same(f, vs)
+            assert list(f.restrict(vs).terms.values()) == [5]
+
+    def test_every_block_of_permuted_example54(self):
+        from sostensor.structured import detect_extended_z
+
+        n = 500
+        perm = np.random.default_rng(0).permutation(n)
+        base = generators.example54(n)
+        A = SymmetricTensor(4, n, {
+            tuple(sorted(int(perm[i]) for i in idx)): v for idx, v in base.entries.items()
+        })
+        f = A.to_polynomial()
+        blocks = detect_extended_z(A).blocks
+        assert len(blocks) == n // 4
+        for block in blocks:
+            self.assert_same(f, block.variables)
