@@ -1,7 +1,8 @@
 """Command-line surface: classify, sos, eigmin, pd, gen, repro.
 
-Exit codes: 0 computed/decided, 2 solver inconclusive, 64 usage, parse or
-input error (odd order included).  Every text report has a one-to-one JSON twin behind --format json.
+Exit codes: 0 computed/decided, 2 solver inconclusive (for `repro --suite
+examples`: a value off its reference), 64 usage, parse or input error (odd
+order included).  Every text report has a one-to-one JSON twin behind --format json.
 """
 
 from __future__ import annotations
@@ -262,12 +263,11 @@ _EXAMPLE_ROWS = (
 def _cmd_repro(args) -> int:
     if args.suite == "examples":
         rows = []
+        tol = min(args.tol, 1e-6)
         for name, build, truth in _EXAMPLE_ROWS:
             t0 = time.perf_counter()
             A = build()
-            res = spectral.min_h_eigenvalue(
-                A, spectral.EigMinOptions(tol=min(args.tol, 1e-6))
-            )
+            res = spectral.min_h_eigenvalue(A, spectral.EigMinOptions(tol=tol))
             dt = time.perf_counter() - t0
             rows.append(
                 {
@@ -290,7 +290,9 @@ def _cmd_repro(args) -> int:
                     f"{r['abs_error']:10.2e} {r['seconds']:8.2f}"
                 )
             _emit("\n".join(lines), args.out)
-        return EXIT_OK
+        # a value off its reference means the table was not reproduced
+        off = any(r["abs_error"] > tol * (1.0 + abs(r["true"])) for r in rows)
+        return EXIT_INCONCLUSIVE if off else EXIT_OK
 
     # pd-test: seeded instances at (m, n, s, k, M) = (4, 20, 4, 5, 100)
     count = args.count

@@ -11,6 +11,7 @@ zero-set samples.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -51,15 +52,52 @@ class FormEvaluator:
         ordered = flat[self._order]
         self._starts = np.flatnonzero(np.diff(ordered, prepend=-1))
         self._vars = ordered[self._starts]
+        self._local = threading.local()
+
+    def _work(self, S: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Work arrays for a batch of S points, reused while S is unchanged.
+
+        Fresh (m, T, S) arrays lie above glibc's mmap threshold (128 KB) for
+        moderate forms, about 280 KB for the PD harness form at S = 100.
+        Mapped and unmapped on every call, their cost depended on the heap's
+        layout; reused, descent time does not.  Each thread has its own
+        arrays, so a shared evaluator stays safe to call concurrently.
+        """
+        work = getattr(self._local, "work", None)
+        if work is None or work[0].shape[2] != S:
+            m, T = self._slots.shape
+            work = self._local.work = (
+                np.empty((m, T, S)),  # gathered slot values
+                np.empty((m, T, S)),  # leave-one-out products
+                np.empty((m * T, S)),  # the same, grouped by variable
+                np.empty((T, S)),  # running product
+            )
+        return work
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["_local"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._local = threading.local()
 
     def _gather(self, X: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(X.T, dtype=float)[self._slots]
+        P = self._work(X.shape[0])[0]
+        return np.take(np.ascontiguousarray(X.T, dtype=float), self._slots, axis=0, out=P)
 
     def value(self, x: np.ndarray) -> float:
         return float(self.value_batch(x.reshape(1, -1))[0])
 
     def value_batch(self, X: np.ndarray) -> np.ndarray:
-        return self.c @ np.prod(self._gather(X), axis=0)
+        P = self._gather(X)
+        # the product over the slots, accumulated in slot order as np.prod does
+        prod = self._work(X.shape[0])[3]
+        prod.fill(1.0)
+        for k in range(P.shape[0]):
+            prod *= P[k]
+        return self.c @ prod
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return self.gradient_batch(x.reshape(1, -1))[0]
@@ -72,19 +110,19 @@ class FormEvaluator:
         G = np.zeros((self.dim, S))
         if self._vars.size:
             P = self._gather(X)
+            _, L, grouped, suffix = self._work(S)
             m = P.shape[0]
             # L[k] = c * prod_{j != k} P[j]: prefix products carry c, then
             # each row is multiplied by its suffix product
-            L = np.empty(P.shape)
             L[0] = self.c[:, None]
             for k in range(1, m):
                 np.multiply(L[k - 1], P[k - 1], out=L[k])
-            suffix = P[m - 1].copy()
+            suffix[...] = P[m - 1]
             for k in range(m - 2, -1, -1):
                 L[k] *= suffix
                 if k:
                     suffix *= P[k]
-            rows = L.reshape(-1, S)[self._order]
+            rows = np.take(L.reshape(-1, S), self._order, axis=0, out=grouped)
             G[self._vars] = np.add.reduceat(rows, self._starts, axis=0)
         return G.T
 

@@ -10,11 +10,14 @@ iterate onto the PSD cone by eigenvalue clamping, (b) least-squares projection
 onto the affine constraint set, and (c) a linear objective tilt folded into
 the affine step.  Everything is deterministic for fixed inputs and options.
 
-The affine projection exploits the structure of Gram coefficient-matching
-systems: constraint rows touch pairwise disjoint matrix positions, so the
-normal matrix is diagonal plus a rank-F correction from the free columns and
-is solved in closed form.  Generic (small) problems fall back to a dense
-factorization.
+The iterate is z = [vec(X); u] with X the full symmetric N x N matrix.  Under
+the Frobenius inner product vec is an isometry of the symmetric matrices (as
+svec is), so no packing happens per sweep.  The constraints are compiled
+once into a `ConstraintMap`.  When their rows touch pairwise disjoint matrix
+positions, as Gram coefficient-matching systems do, the map is one row label
+per position, the normal matrix is diagonal plus a rank-F correction from the
+free columns, and the affine projection is one bincount and one gather.
+Generic (small) problems use a dense pseudo-inverse instead.
 """
 
 from __future__ import annotations
@@ -43,24 +46,128 @@ class SdpConstraint:
     rhs: float
 
 
+@dataclass(frozen=True, eq=False)
+class ConstraintMap:
+    """The map X -> (<A_k, X>)_k over the N*N positions of X, row-major.
+
+    When every position feeds at most one row, `label[p]` is the row fed by
+    position p (`num_rows` when it feeds none) and `weight[p]` the entry of
+    that A_k at p (None: all ones).  Both triangles of each symmetric A_k are
+    stored, so row norms are Frobenius norms.  Otherwise `rows` holds the
+    dense num_rows x N*N matrix.
+    """
+
+    size: int
+    num_rows: int
+    label: Optional[np.ndarray] = None
+    weight: Optional[np.ndarray] = None
+    rows: Optional[np.ndarray] = None
+
+    @classmethod
+    def from_entries(cls, size: int, num_rows: int, k, i, j, v) -> "ConstraintMap":
+        """Compile the upper-triangle entries (k, i, j, v), i <= j, of the A_k."""
+        k, i, j = (np.asarray(a, dtype=np.intp) for a in (k, i, j))
+        v = np.asarray(v, dtype=float)
+        upper, lower = i * size + j, j * size + i
+        if np.all(np.bincount(upper, minlength=size * size) <= 1):
+            label = np.full(size * size, num_rows, dtype=np.intp)
+            weight = np.zeros(size * size)
+            label[upper] = k
+            label[lower] = k
+            weight[upper] = v
+            weight[lower] = v
+            return cls(size, num_rows, label=label, weight=weight)
+        rows = np.zeros((num_rows, size * size))
+        np.add.at(rows, (k, upper), v)
+        off = i != j
+        np.add.at(rows, (k[off], lower[off]), v[off])
+        return cls(size, num_rows, rows=rows)
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        """(<A_k, X>)_k for x = vec(X)."""
+        if self.rows is not None:
+            return self.rows @ x
+        w = x if self.weight is None else self.weight * x
+        return np.bincount(self.label, w, self.num_rows + 1)[: self.num_rows]
+
+    def dense(self) -> np.ndarray:
+        if self.rows is not None:
+            return self.rows
+        M = np.zeros((self.num_rows + 1, self.size * self.size))
+        M[self.label, np.arange(self.size * self.size)] = (
+            1.0 if self.weight is None else self.weight
+        )
+        return M[: self.num_rows]
+
+    def entries(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Nonzero upper-triangle entries (k, i, j, v), ordered by row k."""
+        iu, ju = np.triu_indices(self.size)
+        pos = iu * self.size + ju
+        if self.rows is not None:
+            k, c = np.nonzero(self.rows[:, pos])
+            return k, iu[c], ju[c], self.rows[k, pos[c]]
+        lab = self.label[pos]
+        c = np.flatnonzero(lab < self.num_rows)
+        c = c[np.argsort(lab[c], kind="stable")]
+        v = np.ones(len(c)) if self.weight is None else self.weight[pos[c]]
+        return lab[c], iu[c], ju[c], v
+
+
 @dataclass
 class SdpProblem:
+    """Constraints given as `SdpConstraint`s, or already compiled.
+
+    A constraint list is compiled on construction into `operator` (the
+    `ConstraintMap` of the A_k), `rhs` (the b_k) and `free_matrix` (the c_k
+    as rows, K x num_free).  Callers that solve many problems over one map
+    pass those three directly and leave `constraints` empty.
+    """
+
     block_size: int
     num_free: int
-    constraints: List[SdpConstraint]
+    constraints: List[SdpConstraint] = field(default_factory=list)
     objective_matrix: Tuple[Tuple[int, int, float], ...] = ()
     objective_free: Tuple[float, ...] = ()
     sense: str = "min"
+    operator: Optional[ConstraintMap] = None
+    rhs: Optional[np.ndarray] = None
+    free_matrix: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.sense not in ("min", "max"):
             raise SdpError(f"bad sense {self.sense!r}")
-        for con in self.constraints:
-            for i, j, _ in con.matrix_entries:
-                if not (0 <= i <= j < self.block_size):
-                    raise SdpError(f"matrix entry ({i},{j}) outside upper triangle")
-            if len(con.free_coeffs) != self.num_free:
-                raise SdpError("free coefficient row has wrong length")
+        N, F = self.block_size, self.num_free
+        if self.operator is None:
+            ks, iis, jjs, vs = [], [], [], []
+            for k, con in enumerate(self.constraints):
+                for i, j, v in con.matrix_entries:
+                    if not (0 <= i <= j < N):
+                        raise SdpError(f"matrix entry ({i},{j}) outside upper triangle")
+                    ks.append(k)
+                    iis.append(i)
+                    jjs.append(j)
+                    vs.append(v)
+                if len(con.free_coeffs) != F:
+                    raise SdpError("free coefficient row has wrong length")
+            K = len(self.constraints)
+            self.operator = ConstraintMap.from_entries(N, K, ks, iis, jjs, vs)
+            self.rhs = np.array([float(c.rhs) for c in self.constraints])
+            self.free_matrix = np.array(
+                [c.free_coeffs for c in self.constraints], dtype=float
+            ).reshape(K, F)
+            return
+        if self.constraints:
+            raise SdpError("give constraints or a compiled operator, not both")
+        K = self.operator.num_rows
+        if self.operator.size != N:
+            raise SdpError("operator size differs from the block size")
+        self.rhs = np.asarray(self.rhs, dtype=float)
+        if self.rhs.shape != (K,):
+            raise SdpError("right-hand side has wrong length")
+        if self.free_matrix is None:
+            self.free_matrix = np.zeros((K, F))
+        if self.free_matrix.shape != (K, F):
+            raise SdpError("free coefficient matrix has wrong shape")
 
 
 @dataclass
@@ -87,16 +194,45 @@ class SolveOptions:
     stall_tol: float = 1e-9
     stall_window: int = 100
     dual_tol_factor: float = 10.0
-    warm_start: Optional[np.ndarray] = None  # cone-side [svec(X); u] iterate
+    warm_start: Optional[np.ndarray] = None  # cone-side [vec(X); u] iterate
 
 
 def pack_iterate(X: np.ndarray, free: Sequence[float] = ()) -> np.ndarray:
     """Vectorize (X, u) into the solver's internal layout for warm starts."""
-    N = X.shape[0]
-    iu, ju = np.triu_indices(N)
-    v = X[iu, ju].copy()
-    v[iu != ju] *= math.sqrt(2.0)
-    return np.concatenate([v, np.asarray(free, dtype=float)])
+    return np.concatenate([np.asarray(X, dtype=float).ravel(),
+                           np.asarray(free, dtype=float)])
+
+
+try:
+    # the LAPACK gufunc behind np.linalg.eigh; at the block sizes solved here
+    # the wrapper's argument checks and error-state context cost more than
+    # the decomposition itself
+    from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo
+except ImportError:  # pragma: no cover
+    _eigh_lo = None
+
+
+def _eigh(S: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh(S) for a float64 matrix S."""
+    if _eigh_lo is not None:
+        w, V = _eigh_lo(S)
+        if w[0] == w[0]:
+            return w, V
+    # no result (NaN on non-convergence): the public call raises LinAlgError
+    return np.linalg.eigh(S)
+
+
+def _psd_part(S: np.ndarray) -> np.ndarray:
+    """S itself when it is PSD, else R R' with R = V sqrt(w+).
+
+    S must be exactly symmetric.  The product R R' is formed by one
+    symmetric rank-k update, so it is exactly symmetric too.
+    """
+    w, V = _eigh(S)
+    if w[0] >= 0:
+        return S
+    R = V * np.sqrt(np.maximum(w, 0.0))
+    return R @ R.T
 
 
 def psd_project(S: np.ndarray) -> np.ndarray:
@@ -104,12 +240,7 @@ def psd_project(S: np.ndarray) -> np.ndarray:
     S = np.asarray(S, dtype=float)
     if not np.all(np.isfinite(S)):
         raise SdpError("non-finite input to psd_project")
-    S = 0.5 * (S + S.T)
-    w, V = np.linalg.eigh(S)
-    if w[0] >= 0:
-        return S
-    w = np.clip(w, 0.0, None)
-    return (V * w) @ V.T
+    return _psd_part(0.5 * (S + S.T))
 
 
 def min_eigenvalue(S: np.ndarray) -> float:
@@ -117,147 +248,124 @@ def min_eigenvalue(S: np.ndarray) -> float:
 
 
 class _Compiled:
-    """Vectorized form of the problem: z = [svec(X); u]."""
+    """The problem's arrays in the iterate layout z = [vec(X); u].
+
+    With disjoint rows the row-indexed arrays carry one extra row K that
+    collects the positions outside every constraint: its residual is
+    always 0 and its normal-matrix entry infinite, so it never moves them.
+    """
 
     def __init__(self, problem: SdpProblem):
         N, F = problem.block_size, problem.num_free
-        self.N, self.F = N, F
-        iu, ju = np.triu_indices(N)
-        self.iu, self.ju = iu, ju
-        self.P = len(iu)
-        self.dimension = self.P + F
-        pos_of = {(int(i), int(j)): p for p, (i, j) in enumerate(zip(iu, ju))}
-        self.off_mask = iu != ju
-
-        rows_p: List[int] = []
-        rows_w: List[float] = []
-        rows_k: List[int] = []
-        ptr = [0]
-        b = []
-        U = np.zeros((len(problem.constraints), F))
-        for k, con in enumerate(problem.constraints):
-            for i, j, v in con.matrix_entries:
-                p = pos_of[(i, j)]
-                # svec scaling: off-diagonal variables carry sqrt(2)
-                w = v if i == j else math.sqrt(2.0) * v
-                rows_p.append(p)
-                rows_w.append(float(w))
-                rows_k.append(k)
-            U[k, :] = con.free_coeffs
-            b.append(con.rhs)
-            ptr.append(len(rows_p))
-        self.rows_p = np.asarray(rows_p, dtype=np.int64)
-        self.rows_w = np.asarray(rows_w)
-        self.rows_k = np.asarray(rows_k, dtype=np.int64)
-        self.ptr = np.asarray(ptr, dtype=np.int64)
-        self.b = np.asarray(b)
-        self.U = U
-        self.K = len(problem.constraints)
-
-        counts = np.zeros(self.P, dtype=np.int64)
-        np.add.at(counts, self.rows_p, 1)
-        self.orthogonal_rows = bool(np.all(counts <= 1))
-
-        D = np.zeros(self.K)
-        np.add.at(D, self.rows_k, self.rows_w ** 2)
-        self.D = D
-
-        self._chol = None
-        self._pinv = None
+        op = problem.operator
+        K = op.num_rows
+        self.N, self.F, self.K, self.NN = N, F, K, N * N
+        self.dimension = N * N + F
+        self.op = op
+        self.b = problem.rhs
+        self.U = problem.free_matrix
+        self._dense: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._null_left: Optional[np.ndarray] = None
-        if self.orthogonal_rows and np.all(D > 0):
-            Dinv_U = U / D[:, None] if F else np.zeros((self.K, 0))
-            W = np.eye(F) + U.T @ Dinv_U if F else None
-            self._Dinv_U = Dinv_U
-            self._W = W
+
+        D = None
+        if op.label is not None:
+            sq = None if op.weight is None else op.weight ** 2
+            D = np.bincount(op.label, sq, K + 1)[:K]
+        if D is not None and np.all(D > 0):
+            self._D1 = np.append(D, math.inf)
+            self._b1 = np.append(self.b, 0.0)
+            self._U1 = np.vstack([self.U, np.zeros((1, F))])
+            if F:
+                # (A A' + U U')^-1 = D^-1 - D^-1 U W^-1 U' D^-1, W = I + U' D^-1 U
+                Dinv_U = self.U / D[:, None]
+                W = np.eye(F) + self.U.T @ Dinv_U
+                self._corr1 = np.vstack([Dinv_U @ np.linalg.inv(W), np.zeros((1, F))])
         else:
-            if self.K > 4000:
+            if K > 4000:
                 raise SdpError("constraint system too large for dense fallback")
-            M = self.dense_matrix()
-            G = M @ M.T
-            w, V = np.linalg.eigh(G)
+            M = np.hstack([op.dense(), self.U])
+            w, V = np.linalg.eigh(M @ M.T)
             tol = max(1e-13 * max(w[-1], 1.0), 1e-300)
             inv = np.where(w > tol, 1.0 / np.maximum(w, tol), 0.0)
-            self._pinv = (V, inv)
+            Ginv = (V * inv) @ V.T
+            self._dense = (M, Ginv, M.T @ Ginv)
             null_mask = w <= tol
             if np.any(null_mask):
                 self._null_left = V[:, null_mask]
-            self._Dinv_U = None
-            self._W = None
 
         # objective in vector form, with min-sense sign
         q = np.zeros(self.dimension)
         for i, j, v in problem.objective_matrix:
-            p = pos_of[(int(i), int(j))]
-            q[p] += v if i == j else math.sqrt(2.0) * v
-        for idx, v in enumerate(problem.objective_free):
-            q[self.P + idx] += v
+            q[i * N + j] += v
+            if i != j:
+                q[j * N + i] += v
+        objective_free = np.asarray(problem.objective_free, dtype=float)
+        q[self.NN: self.NN + len(objective_free)] += objective_free
         if problem.sense == "max":
             q = -q
         self.q = q
         self.has_objective = bool(np.any(q != 0.0))
+        # max-norms are taken in svec units: off-diagonal entries count sqrt(2)
+        unit = np.ones(self.dimension)
+        unit[: self.NN] = np.where(np.eye(N, dtype=bool), 1.0, math.sqrt(2.0)).ravel()
+        self._svec_unit = unit
 
-    def dense_matrix(self) -> np.ndarray:
-        M = np.zeros((self.K, self.dimension))
-        M[self.rows_k, self.rows_p] = self.rows_w
-        # rows may repeat positions in the generic case; accumulate properly
-        if not self.orthogonal_rows:
-            M = np.zeros((self.K, self.dimension))
-            np.add.at(M, (self.rows_k, self.rows_p), self.rows_w)
-        if self.F:
-            M[:, self.P:] = self.U
-        return M
+    def max_abs(self, d: np.ndarray) -> float:
+        return float(np.max(np.abs(d) * self._svec_unit))
 
     def constraint_values(self, z: np.ndarray) -> np.ndarray:
-        vals = np.zeros(self.K)
-        np.add.at(vals, self.rows_k, self.rows_w * z[self.rows_p])
+        vals = self.op.values(z[: self.NN])
         if self.F:
-            vals += self.U @ z[self.P:]
+            vals = vals + self.U @ z[self.NN:]
         return vals
 
-    def adjoint(self, y: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dimension)
-        np.add.at(out, self.rows_p, self.rows_w * y[self.rows_k])
+    # disjoint rows: normal solve and adjoint on the K+1 rows
+    def _normal1(self, r: np.ndarray) -> np.ndarray:
+        r /= self._D1
         if self.F:
-            out[self.P:] = self.U.T @ y
-        return out
+            r -= self._corr1 @ (self._U1.T @ r)
+        return r
+
+    def _adjoint1(self, y: np.ndarray) -> np.ndarray:
+        g = y[self.op.label]
+        if self.op.weight is not None:
+            g *= self.op.weight
+        if self.F:
+            return np.concatenate([g, self._U1.T @ y])
+        return g
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        if self._dense is not None:
+            return self._dense[0].T @ y
+        return self._adjoint1(np.append(y, 0.0))
 
     def solve_normal(self, r: np.ndarray) -> np.ndarray:
-        if self._pinv is not None:
-            V, inv = self._pinv
-            return V @ (inv * (V.T @ r))
-        t = r / self.D
-        if self.F:
-            t = t - self._Dinv_U @ np.linalg.solve(self._W, self.U.T @ t)
-        return t
+        if self._dense is not None:
+            return self._dense[1] @ r
+        return self._normal1(np.append(r, 0.0))[: self.K]
 
     def project_affine(self, z: np.ndarray) -> np.ndarray:
-        r = self.constraint_values(z) - self.b
-        y = self.solve_normal(r)
-        return z - self.adjoint(y)
-
-    def svec(self, X: np.ndarray) -> np.ndarray:
-        v = X[self.iu, self.ju].copy()
-        v[self.off_mask] *= math.sqrt(2.0)
-        return v
-
-    def unsvec(self, v: np.ndarray) -> np.ndarray:
-        X = np.zeros((self.N, self.N))
-        vals = v.copy()
-        vals[self.off_mask] /= math.sqrt(2.0)
-        X[self.iu, self.ju] = vals
-        X[self.ju, self.iu] = vals
-        return X
+        if self._dense is not None:
+            M, _, H = self._dense
+            return z - H @ (M @ z - self.b)
+        X = z[: self.NN]
+        r = np.bincount(
+            self.op.label, X if self.op.weight is None else self.op.weight * X, self.K + 1
+        )
+        if self.F:
+            r += self._U1 @ z[self.NN:]
+        r -= self._b1
+        return z - self._adjoint1(self._normal1(r))
 
     def project_cone(self, z: np.ndarray) -> np.ndarray:
-        X = self.unsvec(z[: self.P])
-        w, V = np.linalg.eigh(X)
-        if w[0] < 0:
-            w = np.clip(w, 0.0, None)
-            X = (V * w) @ V.T
-        out = z.copy()
-        out[: self.P] = self.svec(X)
-        return out
+        """z itself when its matrix part is PSD, else a new clamped iterate."""
+        X = z[: self.NN].reshape(self.N, self.N)
+        Y = _psd_part(X)
+        if Y is X:
+            return z
+        if not self.F:
+            return Y.ravel()
+        return np.concatenate([Y.ravel(), z[self.NN:]])
 
 
 def residuals(problem: SdpProblem, sol: SdpSolution) -> Tuple[float, float, float]:
@@ -267,11 +375,12 @@ def residuals(problem: SdpProblem, sol: SdpSolution) -> Tuple[float, float, floa
     most negative eigenvalue of X; the dual residual is the splitting-scheme
     value cached on the solution.
     """
-    comp = _Compiled(problem)
-    z = np.concatenate([comp.svec(np.asarray(sol.X, dtype=float)),
-                        np.asarray(sol.free, dtype=float)])
-    primal = float(np.max(np.abs(comp.constraint_values(z) - comp.b))) if comp.K else 0.0
-    psd = max(0.0, -min_eigenvalue(np.asarray(sol.X, dtype=float)))
+    X = np.asarray(sol.X, dtype=float)
+    vals = problem.operator.values(X.ravel()) + problem.free_matrix @ np.asarray(
+        sol.free, dtype=float
+    )
+    primal = float(np.max(np.abs(vals - problem.rhs))) if len(vals) else 0.0
+    psd = max(0.0, -min_eigenvalue(X))
     return primal, float(sol.dual_residual), psd
 
 
@@ -290,11 +399,11 @@ def _try_farkas(comp: _Compiled, v: np.ndarray, opts: SolveOptions,
     sum_k y_k A_k negative semidefinite-free ... specifically -y satisfies
     sum_k (-y_k) A_k >= 0 and b'(-y) < 0, the standard certificate.
     """
-    z = comp.project_cone(v.copy())
+    z = comp.project_cone(v)
     for _ in range(pocs_iters):
         z_aff = comp.project_affine(z)
         z_new = comp.project_cone(z_aff)
-        if np.max(np.abs(z_new - z)) < 1e-15:
+        if comp.max_abs(z_new - z) < 1e-15:
             z = z_new
             break
         z = z_new
@@ -308,10 +417,9 @@ def _try_farkas(comp: _Compiled, v: np.ndarray, opts: SolveOptions,
     if np.linalg.norm(comp.adjoint(y) - e) > 1e-6 * (1.0 + np.linalg.norm(e)):
         return None
     y_hat = -y
-    S = comp.unsvec(comp.adjoint(y_hat)[: comp.P])
-    if comp.F and np.max(np.abs(comp.adjoint(y_hat)[comp.P:])) > 1e-8 * (
-        1.0 + np.linalg.norm(y_hat)
-    ):
+    adj = comp.adjoint(y_hat)
+    S = adj[: comp.NN].reshape(comp.N, comp.N)
+    if comp.F and np.max(np.abs(adj[comp.NN:])) > 1e-8 * (1.0 + np.linalg.norm(y_hat)):
         return None
     lam_min = min_eigenvalue(S)
     bty = float(comp.b @ y_hat)
@@ -327,10 +435,12 @@ def solve(problem: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSoluti
     Status is `optimal` when primal and PSD residuals meet feas_tol (and, for
     problems with an objective, the objective has stalled), `inconclusive`
     at the iteration cap, and `infeasible_evidence` when a separating
-    certificate y (sum y_k A_k PSD, b'y < 0) is verified.
+    certificate y (sum y_k A_k PSD, b'y < 0) is verified.  The returned X
+    is exactly symmetric.
     """
     opts = opts or SolveOptions()
     comp = _Compiled(problem)
+    N, NN = comp.N, comp.NN
 
     if comp._null_left is not None:
         # structurally dependent rows: inconsistent rhs is immediate evidence
@@ -340,7 +450,7 @@ def solve(problem: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSoluti
             u = comp._null_left[:, j]
             y_hat = -u * np.sign(float(u @ comp.b))
             return SdpSolution(
-                X=np.zeros((comp.N, comp.N)),
+                X=np.zeros((N, N)),
                 free=np.zeros(comp.F),
                 objective_value=math.nan,
                 primal_residual=math.inf,
@@ -358,15 +468,19 @@ def solve(problem: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSoluti
     q_step = comp.q / rho
 
     if opts.warm_start is not None and opts.warm_start.shape == (comp.dimension,):
-        v = comp.project_cone(opts.warm_start.copy())
+        v = np.array(opts.warm_start, dtype=float)
+        W0 = v[:NN].reshape(N, N)
+        v[:NN] = (0.5 * (W0 + W0.T)).ravel()
+        v = comp.project_cone(v)
     else:
         v = np.zeros(comp.dimension)
     lam = np.zeros(comp.dimension)
 
-    best_v = v.copy()
+    # iterates are never modified in place, so they are kept without copies
+    best_v = v
     best_prim = math.inf
     best_obj = math.nan
-    prev_check_v = v.copy()
+    prev_check_v = v
     obj_hist: List[float] = []
     status = INCONCLUSIVE
     it = 0
@@ -375,11 +489,14 @@ def solve(problem: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSoluti
 
     while it < opts.max_iter:
         it += 1
-        w = comp.project_affine(v - lam - q_step)
+        if comp.has_objective:
+            w = comp.project_affine(v - lam - q_step)
+        else:
+            w = comp.project_affine(v - lam)
         w_relaxed = alpha * w + (1.0 - alpha) * v
-        v_new = comp.project_cone(w_relaxed + lam)
-        lam = lam + w_relaxed - v_new
-        v = v_new
+        t = w_relaxed + lam
+        v = comp.project_cone(t)
+        lam = t - v
 
         if it % opts.check_every == 0 or it == opts.max_iter:
             prim = (
@@ -387,12 +504,12 @@ def solve(problem: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSoluti
                 if comp.K
                 else 0.0
             )
-            dual = rho * float(np.max(np.abs(v - prev_check_v))) / opts.check_every
-            prev_check_v = v.copy()
+            dual = rho * comp.max_abs(v - prev_check_v) / opts.check_every
+            prev_check_v = v
             obj = _objective_value(comp, problem, v)
             if prim < best_prim:
                 best_prim = prim
-                best_v = v.copy()
+                best_v = v
                 best_obj = obj
                 stall_counter = 0
             else:
@@ -409,12 +526,12 @@ def solve(problem: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSoluti
                     <= opts.stall_tol * (1.0 + abs(obj_hist[-1]))
                 )
                 if prim_ok and dual_ok and stalled:
-                    best_v, best_prim, best_obj = v.copy(), prim, obj
+                    best_v, best_prim, best_obj = v, prim, obj
                     status = OPTIMAL
                     break
             else:
                 if prim_ok:
-                    best_v, best_prim, best_obj = v.copy(), prim, obj
+                    best_v, best_prim, best_obj = v, prim, obj
                     status = OPTIMAL
                     break
                 if stall_counter * opts.check_every >= 4000 and best_prim > 100 * opts.feas_tol * scale_b:
@@ -431,10 +548,10 @@ def solve(problem: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSoluti
             farkas = cand
             status = INFEASIBLE_EVIDENCE
 
-    X = comp.unsvec(best_v[: comp.P])
-    free = best_v[comp.P:].copy()
-    psd = max(0.0, -min_eigenvalue(X)) if comp.N else 0.0
-    dual_final = rho * float(np.max(np.abs(v - best_v))) if it else 0.0
+    X = best_v[:NN].reshape(N, N).copy()
+    free = best_v[NN:].copy()
+    psd = max(0.0, -min_eigenvalue(X)) if N else 0.0
+    dual_final = rho * comp.max_abs(v - best_v) if it else 0.0
     return SdpSolution(
         X=X,
         free=free,
@@ -453,20 +570,23 @@ def solve(problem: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSoluti
 
 
 def dump_problem(problem: SdpProblem) -> str:
-    lines = [f"sdp {problem.block_size} {problem.num_free} {len(problem.constraints)}",
+    K = problem.operator.num_rows
+    lines = [f"sdp {problem.block_size} {problem.num_free} {K}",
              f"sense {problem.sense}"]
     for i, j, v in problem.objective_matrix:
         lines.append(f"obj m {i} {j} {v!r}")
     for idx, v in enumerate(problem.objective_free):
         if v:
             lines.append(f"obj f {idx} {v!r}")
-    for k, con in enumerate(problem.constraints):
-        for i, j, v in con.matrix_entries:
-            lines.append(f"{k} {i} {j} {v!r}")
-        for idx, v in enumerate(con.free_coeffs):
+    ks, iis, jjs, vs = problem.operator.entries()
+    starts = np.searchsorted(ks, np.arange(K + 1))
+    for k in range(K):
+        for e in range(starts[k], starts[k + 1]):
+            lines.append(f"{k} {int(iis[e])} {int(jjs[e])} {float(vs[e])!r}")
+        for idx, v in enumerate(problem.free_matrix[k]):
             if v:
-                lines.append(f"free {k} {idx} {v!r}")
-        lines.append(f"rhs {k} {con.rhs!r}")
+                lines.append(f"free {k} {idx} {float(v)!r}")
+        lines.append(f"rhs {k} {float(problem.rhs[k])!r}")
     return "\n".join(lines) + "\n"
 
 

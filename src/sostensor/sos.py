@@ -108,15 +108,17 @@ def monomial_basis(dim: int, degree: int) -> MonomialBasis:
 class GramSystem:
     """Coefficient-matching equations <E_alpha, Q> = f_alpha.
 
-    For each degree-m exponent alpha, `pairs[alpha]` lists the basis index
-    pairs (p, q), p <= q, with beta_p + beta_q = alpha; the equation reads
-    sum over p<q of 2 Q[p,q] plus the diagonal term Q[p,p] when alpha = 2
-    beta_p.
+    Gram position (p, q) of the N x N matrix Q feeds the coefficient of
+    alpha = beta_p + beta_q, so <E_alpha, Q> sums Q over the positions
+    labelled alpha.  `labels` holds that label for every position and is the
+    one place that knows the system's structure: coefficient values,
+    the solver's constraint map and the congruences V' E_alpha V of rank
+    reduction and facial reduction are all read from it.  It is built on
+    first use, once per (dim, order).
     """
 
     basis: MonomialBasis
     alphas: Tuple[Exponent, ...]
-    pairs: Tuple[Tuple[Tuple[int, int], ...], ...]
 
     @property
     def num_constraints(self) -> int:
@@ -125,47 +127,72 @@ class GramSystem:
     def rhs(self, f: HomogeneousPolynomial) -> np.ndarray:
         return np.array([float(f.coefficient(a)) for a in self.alphas])
 
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """Index into `alphas` of beta_p + beta_q, at position p * N + q."""
+        E = np.array(self.basis.exponents, dtype=np.int16)
+        sums = (E[:, None, :] + E[None, :, :]).reshape(len(E) ** 2, -1)
+        # group equal rows by their bytes, then name each group's alpha
+        rows = sums.view(np.dtype((np.void, sums.itemsize * sums.shape[1]))).ravel()
+        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+        if len(first) != self.num_constraints:
+            raise SosError("internal error: incomplete constraint enumeration")
+        index = {alpha: k for k, alpha in enumerate(self.alphas)}
+        named = np.array([index[tuple(a)] for a in sums[first].tolist()], dtype=np.intp)
+        return named[inverse.ravel()]
+
+    @cached_property
+    def operator(self) -> sdp.ConstraintMap:
+        return sdp.ConstraintMap(len(self.basis), self.num_constraints, label=self.labels)
+
+    @cached_property
+    def _segments(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Positions (p, q) grouped by label, and where each group starts."""
+        order = np.argsort(self.labels, kind="stable")
+        starts = np.searchsorted(self.labels[order], np.arange(self.num_constraints))
+        N = len(self.basis)
+        return order // N, order % N, starts
+
+    @cached_property
+    def pairs(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+        """Per alpha, the basis index pairs (p, q), p <= q, feeding it."""
+        p, q, starts = self._segments
+        bounds = list(starts) + [len(p)]
+        return tuple(
+            tuple((int(a), int(b)) for a, b in zip(p[s:e], q[s:e]) if a <= b)
+            for s, e in zip(bounds[:-1], bounds[1:])
+        )
+
+    def congruence(self, V: np.ndarray) -> np.ndarray:
+        """Upper triangles of V' E_alpha V, one row per alpha.
+
+        Column c holds entry (iu[c], ju[c]) with iu, ju = np.triu_indices(r)
+        for V of shape (N, r): a segment sum, by label, of the rows of
+        V (x) V over the Gram positions.
+        """
+        p, q, starts = self._segments
+        iu, ju = np.triu_indices(V.shape[1])
+        return np.add.reduceat(V[p][:, iu] * V[q][:, ju], starts, axis=0)
+
 
 @lru_cache(maxsize=None)
 def gram_system(dim: int, order: int) -> GramSystem:
     if order % 2 != 0:
         raise SosError("Gram systems need even order")
-    basis = monomial_basis(dim, order // 2)
-    buckets: Dict[Exponent, List[Tuple[int, int]]] = {}
-    for p in range(len(basis)):
-        bp = basis.exponents[p]
-        for q in range(p, len(basis)):
-            alpha = tuple(a + b for a, b in zip(bp, basis.exponents[q]))
-            buckets.setdefault(alpha, []).append((p, q))
-    alphas = tuple(sorted(buckets, reverse=True))
-    expected = math.comb(dim + order - 1, order)
-    if len(alphas) != expected:
-        raise SosError("internal error: incomplete constraint enumeration")
-    return GramSystem(basis, alphas, tuple(tuple(buckets[a]) for a in alphas))
+    # every degree-m exponent is a sum of two degree-m/2 ones
+    return GramSystem(monomial_basis(dim, order // 2), monomial_basis(dim, order).exponents)
 
 
 def gram_to_polynomial(Q: np.ndarray, system: GramSystem) -> HomogeneousPolynomial:
     """Coefficients of z' Q z over the system's monomial list."""
-    terms: Dict[Exponent, float] = {}
-    for alpha, prs in zip(system.alphas, system.pairs):
-        val = 0.0
-        for p, q in prs:
-            val += Q[p, q] if p == q else 2.0 * Q[p, q]
-        if val != 0.0:
-            terms[alpha] = val
+    vals = _constraint_values(Q, system)
+    terms = {system.alphas[k]: float(vals[k]) for k in np.flatnonzero(vals)}
     return HomogeneousPolynomial(2 * system.basis.degree, system.basis.dim, terms)
 
 
-def _constraints_from_system(
-    system: GramSystem, rhs: np.ndarray, free_cols: Optional[np.ndarray] = None
-) -> List[sdp.SdpConstraint]:
-    F = free_cols.shape[1] if free_cols is not None else 0
-    out = []
-    for k, prs in enumerate(system.pairs):
-        entries = tuple((p, q, 1.0) for p, q in prs)
-        coeffs = tuple(free_cols[k]) if free_cols is not None else ()
-        out.append(sdp.SdpConstraint(entries, coeffs if F else (), float(rhs[k])))
-    return out
+def _constraint_values(Q: np.ndarray, system: GramSystem) -> np.ndarray:
+    """<E_alpha, Q> for every alpha: the coefficients of z' Q z."""
+    return system.operator.values(np.asarray(Q, dtype=float).ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -440,16 +467,6 @@ def _negative_point_scan(
 # extreme-point rank reduction
 
 
-def _constraint_values(Q: np.ndarray, system: GramSystem) -> np.ndarray:
-    out = np.zeros(system.num_constraints)
-    for k, prs in enumerate(system.pairs):
-        v = 0.0
-        for p, q in prs:
-            v += Q[p, q] if p == q else 2.0 * Q[p, q]
-        out[k] = v
-    return out
-
-
 def reduce_to_extreme(
     Q: np.ndarray,
     system: GramSystem,
@@ -482,40 +499,20 @@ def reduce_to_extreme(
             break
         Vr = V[:, keep]
         lam = w[keep]
-        # constraint map on the reduced space, rows indexed by alpha
+        # constraint map on the reduced space, rows indexed by alpha; the
+        # columns pair diagonal entries with S_pp and off-diagonals with S_pq
+        # (coefficient 2 in G), so a null vector fills S as is
         cols = r * (r + 1) // 2
-        G = np.zeros((system.num_constraints, cols))
-        tri = [(p, q) for p in range(r) for q in range(p, r)]
-        col_of = {pq: c for c, pq in enumerate(tri)}
-        for k, prs in enumerate(system.pairs):
-            Ak = np.zeros((r, r))
-            for p, q in prs:
-                vp = Vr[p]
-                vq = Vr[q]
-                if p == q:
-                    Ak += np.outer(vp, vp)
-                else:
-                    Ak += np.outer(vp, vq) + np.outer(vq, vp)
-            for (p, q), c in col_of.items():
-                G[k, c] = Ak[p, q] if p == q else 2.0 * Ak[p, q]
+        iu, ju = np.triu_indices(r)
+        G = system.congruence(Vr) * np.where(iu == ju, 1.0, 2.0)
         _, sv, VT = np.linalg.svd(G, full_matrices=True)
-        if len(sv) >= cols or cols == 0:
-            smin = sv[-1] if len(sv) == cols else 0.0
-        else:
-            smin = 0.0
         if cols <= len(sv) and sv[min(cols, len(sv)) - 1] > null_eps * max(
             1.0, sv[0] if len(sv) else 1.0
         ):
             break  # injective: extreme point reached
-        # G columns pair diagonal entries with S_pp and off-diagonals with
-        # S_pq (coefficient 2 already in G), so the null vector fills S as is
-        null_vec = VT[-1]
         S = np.zeros((r, r))
-        for (p, q), c in col_of.items():
-            if p == q:
-                S[p, p] = null_vec[c]
-            else:
-                S[p, q] = S[q, p] = null_vec[c]
+        S[iu, ju] = VT[-1]
+        S[ju, iu] = VT[-1]
         # boundary step: largest |t| with diag(lam) + t S still PSD
         half = 1.0 / np.sqrt(lam)
         Msym = (half[:, None] * S) * half[None, :]
@@ -663,8 +660,9 @@ def _certify_monolithic(
     # reduction's drift (at most 1e-9 relative).
     stop = 0.5 * _certificate_tolerance(f)
     feas_tol = stop / (scale * (1.0 + float(np.max(np.abs(rhs)))))
-    constraints = _constraints_from_system(system, rhs)
-    problem = sdp.SdpProblem(len(system.basis), 0, constraints)
+    problem = sdp.SdpProblem(
+        len(system.basis), 0, operator=system.operator, rhs=rhs
+    )
     sol = sdp.solve(
         problem, sdp.SolveOptions(feas_tol=feas_tol, max_iter=opts.max_iter)
     )
@@ -769,26 +767,14 @@ def _facial_reduction_solve(
     if r == 0:
         return np.zeros((N, N))
 
-    # reduced constraints <P' E_alpha P, Qr> = f_alpha
-    constraints = []
-    for k, prs in enumerate(system.pairs):
-        Ak = np.zeros((r, r))
-        for p, q in prs:
-            vp, vq = P[p], P[q]
-            if p == q:
-                Ak += np.outer(vp, vp)
-            else:
-                Ak += np.outer(vp, vq) + np.outer(vq, vp)
-        entries = []
-        for i in range(r):
-            for j in range(i, r):
-                v = Ak[i, j]
-                if abs(v) > 1e-14:
-                    entries.append((i, j, float(v)))
-        constraints.append(
-            sdp.SdpConstraint(tuple(entries), (), float(fs.coefficient(system.alphas[k])))
-        )
-    problem = sdp.SdpProblem(r, 0, constraints)
+    # reduced constraints <P' E_alpha P, Qr> = f_alpha, entries above 1e-14
+    upper = system.congruence(P)
+    iu, ju = np.triu_indices(r)
+    k, c = np.nonzero(np.abs(upper) > 1e-14)
+    op = sdp.ConstraintMap.from_entries(
+        r, system.num_constraints, k, iu[c], ju[c], upper[k, c]
+    )
+    problem = sdp.SdpProblem(r, 0, operator=op, rhs=system.rhs(fs))
     sol = sdp.solve(
         problem, sdp.SolveOptions(feas_tol=feas_tol, max_iter=opts.max_iter)
     )

@@ -31,9 +31,9 @@ import numpy as np
 from . import sdp
 from .descent import sphere_minimize
 from .sos import (
+    _constraint_values,
     gershgorin_lower_bound,
     gram_system,
-    gram_to_polynomial,
     max_diagonal_shift_single_term,
 )
 from .structured import ExtendedZBlock, detect_extended_z
@@ -162,6 +162,7 @@ def _max_shift_sdp(
         return scale * max(g, min(lo, hi)), "optimal"
 
     system = gram_system(n, m)
+    N = len(system.basis)
     pure = _pure_power_rows(system, n, m)
     rhs_base = system.rhs(fs)
 
@@ -172,12 +173,7 @@ def _max_shift_sdp(
     def feasible(r: float) -> Optional[float]:
         nonlocal warm
         rhs = rhs_base - r * pure
-        constraints = []
-        for k, prs in enumerate(system.pairs):
-            constraints.append(
-                sdp.SdpConstraint(tuple((p, q, 1.0) for p, q in prs), (), float(rhs[k]))
-            )
-        problem = sdp.SdpProblem(len(system.basis), 0, constraints)
+        problem = sdp.SdpProblem(N, 0, operator=system.operator, rhs=rhs)
         sol = sdp.solve(
             problem,
             sdp.SolveOptions(
@@ -188,24 +184,14 @@ def _max_shift_sdp(
             return None
         Q = sdp.psd_project(sol.X)
         warm = sdp.pack_iterate(Q)
-        recon = gram_to_polynomial(Q, system)
-        defect = 0.0
-        for k, alpha in enumerate(system.alphas):
-            defect += abs(float(recon.coefficient(alpha)) - float(rhs[k]))
+        defect = float(np.sum(np.abs(_constraint_values(Q, system) - rhs)))
         return r - defect
 
     # phase A: one objective-mode solve gives a sharp guess for the optimum
     r_hat: Optional[float] = None
-    constraints = []
-    for k, prs in enumerate(system.pairs):
-        coeff = (1.0,) if pure[k] else (0.0,)
-        constraints.append(
-            sdp.SdpConstraint(
-                tuple((p, q, 1.0) for p, q in prs), coeff, float(rhs_base[k])
-            )
-        )
     obj_problem = sdp.SdpProblem(
-        len(system.basis), 1, constraints, objective_free=(1.0,), sense="max"
+        N, 1, objective_free=(1.0,), sense="max",
+        operator=system.operator, rhs=rhs_base, free_matrix=pure[:, None],
     )
     obj_sol = sdp.solve(
         obj_problem,

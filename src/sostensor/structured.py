@@ -35,6 +35,7 @@ from .tensor import (
 )
 
 BOUNDARY_TOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 
 class ClassificationError(ValueError):
@@ -332,10 +333,10 @@ def _tail_entries(B: SymmetricTensor) -> np.ndarray:
 class BFamilyVerdict:
     double_b: bool
     quasi_double_b0: bool
-    mb0: bool
+    mb0: Optional[bool]  # None when the power iteration stalled
     boundary: bool
     strict: Dict[str, bool]
-    details: Dict[str, float]
+    details: Dict[str, object]
 
 
 def classify_b_family(
@@ -354,7 +355,8 @@ def classify_b_family(
     MB0: the row-shifted tensor a[i1..im] = b[i1..im] - beta[i1] is an
     M-tensor, tested as s >= spectral radius of s I - (shifted tensor); the
     shifted operator is applied implicitly so the dense shift never needs to
-    be materialized.
+    be materialized.  If the power iteration stalls, `mb0` is None, the
+    verdict is flagged boundary and `details` carries the last bracket.
     """
     n = B.dim
     beta, delta, delta_ij, tail = _double_b(B)
@@ -385,7 +387,13 @@ def classify_b_family(
     double_b = positive_gap and dom and pairwise
     quasi_double_b0 = positive_gap and quasi
 
-    mb0, mb0_boundary, s_val, rho_val = _mb0_check(B, beta, tol, power_iter_cap)
+    try:
+        mb0, mb0_boundary, s_val, rho_val = _mb0_check(B, beta, tol, power_iter_cap)
+        mb0_details = {"s": s_val, "rho": rho_val}
+    except PowerIterationError as exc:
+        # no verdict without a converged radius; the bracket is the evidence
+        mb0, mb0_boundary = None, True
+        mb0_details = {"bracket": list(exc.bracket)}
     boundary = boundary or mb0_boundary
 
     return BFamilyVerdict(
@@ -394,7 +402,7 @@ def classify_b_family(
         mb0=mb0,
         boundary=boundary,
         strict={"double_b": double_b, "quasi_double_b0": quasi_double_b0},
-        details={"s": s_val, "rho": rho_val,
+        details={**mb0_details,
                  "min_gap": float(np.min(gap)) if n else 0.0,
                  "relaxed_positive_gap": positive_gap_relaxed},
     )
@@ -461,7 +469,8 @@ def _spectral_radius_from_apply(
         ratios = y / x ** p
         lo, hi = float(np.min(ratios)), float(np.max(ratios))
         lo_best, hi_best = max(lo_best, lo), min(hi_best, hi)
-        if hi_best - lo_best <= abs_tol / 2.0:
+        # a bracket within rounding of its own magnitude cannot narrow further
+        if hi_best - lo_best <= max(abs_tol / 2.0, 8 * _EPS * abs(hi_best)):
             mid = 0.5 * (lo_best + hi_best)
             return mid - 0.5 * eps * nm1
         x = np.maximum(y, 1e-300) ** (1.0 / p)
@@ -863,9 +872,14 @@ def classify(A: SymmetricTensor, tol: float = BOUNDARY_TOL) -> ClassificationRep
     fam = classify_b_family(A, tol)
     report.verdicts["double_b"] = ClassVerdict(fam.double_b, fam.boundary)
     report.verdicts["quasi_double_b0"] = ClassVerdict(fam.quasi_double_b0, fam.boundary)
-    report.verdicts["mb0"] = ClassVerdict(
-        fam.mb0, fam.boundary, {"s": fam.details["s"], "rho": fam.details["rho"]}
-    )
+    if fam.mb0 is None:
+        report.verdicts["mb0"] = ClassVerdict(
+            None, True, {"bracket": fam.details["bracket"]}, "power iteration stalled"
+        )
+    else:
+        report.verdicts["mb0"] = ClassVerdict(
+            fam.mb0, fam.boundary, {"s": fam.details["s"], "rho": fam.details["rho"]}
+        )
 
     try:
         hv = is_h_tensor(A, tol)

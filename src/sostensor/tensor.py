@@ -108,12 +108,14 @@ class HomogeneousPolynomial:
     def __post_init__(self):
         clean: Dict[Exponent, Number] = {}
         for alpha, c in self.terms.items():
-            alpha = tuple(int(e) for e in alpha)
-            if len(alpha) != self.dim or any(e < 0 for e in alpha):
+            # C-level passes: long exponent vectors dominate large forms
+            alpha = tuple(map(int, alpha))
+            if len(alpha) != self.dim or (alpha and min(alpha) < 0):
                 raise TensorError(f"bad exponent vector {alpha} for dim {self.dim}")
-            if sum(alpha) != self.degree:
+            total = sum(alpha)
+            if total != self.degree:
                 raise TensorError(
-                    f"non-homogeneous term {alpha}: degree {sum(alpha)} != {self.degree}"
+                    f"non-homogeneous term {alpha}: degree {total} != {self.degree}"
                 )
             _check_finite(c, alpha)
             if c != 0:

@@ -247,3 +247,45 @@ def reference_double_b_pairs(B, tol):
             if q_lhs < q_rhs - band * (1 + abs(q_lhs) + abs(q_rhs)):
                 quasi = False
     return positive_gap and dom and pairwise, positive_gap and quasi, boundary
+
+
+def reference_gram_pairs(basis):
+    """Per degree-m exponent alpha, the basis pairs (p, q), p <= q, with
+    beta_p + beta_q = alpha, by the double loop over the basis."""
+    buckets = {}
+    B = basis.exponents
+    for p in range(len(B)):
+        for q in range(p, len(B)):
+            alpha = tuple(a + b for a, b in zip(B[p], B[q]))
+            buckets.setdefault(alpha, []).append((p, q))
+    return buckets
+
+
+def reference_constraint_values(Q, basis, alphas):
+    """<E_alpha, Q> per alpha: Q[p, p] plus 2 Q[p, q] over the pairs."""
+    pairs = reference_gram_pairs(basis)
+    out = np.zeros(len(alphas))
+    for k, alpha in enumerate(alphas):
+        v = 0.0
+        for p, q in pairs[alpha]:
+            v += Q[p, q] if p == q else 2.0 * Q[p, q]
+        out[k] = v
+    return out
+
+
+def reference_congruence(V, basis, alphas):
+    """Upper triangles (np.triu_indices order) of V' E_alpha V, one row per
+    alpha, summed from outer products pair by pair."""
+    pairs = reference_gram_pairs(basis)
+    r = V.shape[1]
+    iu, ju = np.triu_indices(r)
+    out = np.zeros((len(alphas), len(iu)))
+    for k, alpha in enumerate(alphas):
+        Ak = np.zeros((r, r))
+        for p, q in pairs[alpha]:
+            if p == q:
+                Ak += np.outer(V[p], V[p])
+            else:
+                Ak += np.outer(V[p], V[q]) + np.outer(V[q], V[p])
+        out[k] = Ak[iu, ju]
+    return out

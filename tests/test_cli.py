@@ -207,6 +207,29 @@ class TestCliCommands:
         assert "input error" in err
         assert "even order" in err
 
+    def test_classify_extreme_magnitudes(self, tmp_path, capsys):
+        # entries 1e150 apart in magnitude: the spectral-radius checks
+        # converge, so classify reports (exit 0) instead of a traceback
+        path = tmp_path / "t.txt"
+        path.write_text(
+            "tensor 4 2\n1 1 1 1 1.0\n2 2 2 2 1.0\n1 1 2 2 -1e150\n1 2 2 2 1e-300\n"
+        )
+        assert main(["classify", str(path), "--format", "json"]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        payload = json.loads(out)
+        assert payload["classes"]["mb0"]["holds"] is False
+
+    def test_repro_examples_exit_codes(self, capsys, monkeypatch):
+        from sostensor import cli
+
+        assert main(["repro", "--suite", "examples", "--format", "json"]) == EXIT_OK
+        rows = json.loads(capsys.readouterr().out)
+        assert len(rows) == len(cli._EXAMPLE_ROWS)
+        wrong = (("example54 n=4, wrong truth", lambda: generators.example54(4), 2.0),)
+        monkeypatch.setattr(cli, "_EXAMPLE_ROWS", wrong)
+        assert main(["repro", "--suite", "examples"]) == EXIT_INCONCLUSIVE
+
     def test_missing_file(self, capsys):
         assert main(["classify", "/nonexistent/tensor.txt"]) == EXIT_USAGE
 

@@ -101,3 +101,70 @@ def test_example54_at_n100():
         assert v == pytest.approx(float(f.evaluate(list(x))), rel=1e-12)
         assert np.allclose(g, expected, rtol=1e-12, atol=1e-12)
         assert np.allclose(A.apply(x), g / 4, rtol=1e-12, atol=1e-12)
+
+
+class TestWorkArrays:
+    """Batches reuse per-thread work arrays; results must not depend on it."""
+
+    @staticmethod
+    def _form():
+        from sostensor import spectral
+
+        inst = spectral.generate_procedure1(4, 20, 4, 5, 100.0, seed=31000)
+        return inst.tensor.to_polynomial()
+
+    def test_batch_sizes_interleaved(self):
+        f = self._form()
+        ev = FormEvaluator(f)
+        rng = np.random.default_rng(4)
+        batches = [rng.standard_normal((S, f.dim)) for S in (100, 1, 100, 37)]
+        fresh = [(FormEvaluator(f).value_batch(X), FormEvaluator(f).gradient_batch(X))
+                 for X in batches]
+        for X, (v, G) in zip(batches, fresh):
+            assert np.array_equal(ev.value_batch(X), v)
+            assert np.array_equal(ev.gradient_batch(X), G)
+
+    def test_results_are_not_views_of_the_work_arrays(self):
+        f = self._form()
+        ev = FormEvaluator(f)
+        rng = np.random.default_rng(5)
+        X, Y = rng.standard_normal((2, 50, f.dim))
+        v, G = ev.value_batch(X), ev.gradient_batch(X)
+        v0, G0 = v.copy(), G.copy()
+        ev.value_batch(Y)
+        ev.gradient_batch(Y)
+        assert np.array_equal(v, v0) and np.array_equal(G, G0)
+
+    def test_threads_share_an_evaluator(self):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        f = self._form()
+        ev = FormEvaluator(f)
+        rng = np.random.default_rng(6)
+        batches = [rng.standard_normal((60, f.dim)) for _ in range(8)]
+        expected = [FormEvaluator(f).gradient_batch(X) for X in batches]
+
+        def run(X):
+            return [ev.gradient_batch(X) for _ in range(20)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(run, X) for X in batches]
+                got = [fut.result(timeout=60) for fut in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for results, ref in zip(got, expected):
+            for G in results:
+                assert np.array_equal(G, ref)
+
+    def test_tensor_pickles_after_apply(self):
+        import pickle
+
+        A = generators.example54(8)
+        x = np.linspace(-1.0, 1.0, 8)
+        before = A.apply(x)
+        B = pickle.loads(pickle.dumps(A))
+        assert np.array_equal(B.apply(x), before)

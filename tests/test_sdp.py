@@ -188,3 +188,100 @@ class TestExampleFamilySdp:
             )
             assert res.lambda_min == pytest.approx(n - 1, abs=1e-3)
             assert all(b.method == "sdp" for b in res.per_block)
+
+
+def gram_problem(dim=3, order=4, seed=40004):
+    from sostensor import generators, sos
+
+    A = generators.random_class_instance("cauchy_psd", order, dim, seed)
+    system = sos.gram_system(dim, order)
+    rhs = system.rhs(A.to_polynomial())
+    return sdp.SdpProblem(len(system.basis), 0, operator=system.operator, rhs=rhs)
+
+
+class TestFullMatrixIterate:
+    def test_warm_start_stops_at_first_check(self):
+        p = gram_problem()
+        opts = sdp.SolveOptions(feas_tol=5e-7)
+        sol = sdp.solve(p, opts)
+        assert sol.status == sdp.OPTIMAL and sol.iterations > opts.check_every
+        again = sdp.solve(
+            p, sdp.SolveOptions(feas_tol=5e-7, warm_start=sdp.pack_iterate(sol.X))
+        )
+        assert again.status == sdp.OPTIMAL
+        assert again.iterations == opts.check_every
+
+    def test_asymmetric_warm_start_is_symmetrized(self):
+        X0 = np.array([[1.0, 0.2], [0.9, 1.0]])
+        sol = sdp.solve(
+            feas_problem(0.5), sdp.SolveOptions(warm_start=sdp.pack_iterate(X0))
+        )
+        assert sol.status == sdp.OPTIMAL
+        assert np.array_equal(sol.X, sol.X.T)
+        assert sol.X[0, 1] == pytest.approx(0.5, abs=1e-6)
+
+    def test_pack_iterate_layout(self):
+        X = np.array([[2.0, 0.5], [0.5, 1.0]])
+        z = sdp.pack_iterate(X, (3.0,))
+        assert np.array_equal(z, [2.0, 0.5, 0.5, 1.0, 3.0])
+
+    @pytest.mark.parametrize("make", [
+        lambda: feas_problem(0.9),
+        lambda: gram_problem(),
+        lambda: gram_problem(2, 6, 40002),
+    ])
+    def test_returned_matrix_exactly_symmetric(self, make):
+        sol = sdp.solve(make(), sdp.SolveOptions(max_iter=3000))
+        assert np.array_equal(sol.X, sol.X.T)
+
+    def test_non_orthogonal_rows_solve(self):
+        # the trace row shares X00 and X11 with the other rows, so the
+        # affine step takes the dense pseudo-inverse
+        cons = [
+            sdp.SdpConstraint(((0, 0, 1.0), (1, 1, 1.0)), (), 2.0),
+            sdp.SdpConstraint(((0, 0, 1.0),), (), 0.5),
+            sdp.SdpConstraint(((0, 1, 0.5),), (), 0.3),
+        ]
+        p = sdp.SdpProblem(2, 0, cons)
+        assert p.operator.rows is not None
+        sol = sdp.solve(p)
+        assert sol.status == sdp.OPTIMAL
+        assert np.allclose(sol.X, [[0.5, 0.3], [0.3, 1.5]], atol=1e-6)
+        assert np.array_equal(sol.X, sol.X.T)
+        primal, _, psd = sdp.residuals(p, sol)
+        assert primal <= 1e-8 * 3 and psd == 0.0
+
+    def test_disjoint_rows_compile_to_labels(self):
+        p = feas_problem(0.9)
+        op = p.operator
+        assert op.rows is None
+        # X00 -> row 0, X11 -> row 1, both X01 and X10 -> row 2 with weight 0.5
+        assert op.label.tolist() == [0, 2, 2, 1]
+        assert op.weight.tolist() == [1.0, 0.5, 0.5, 1.0]
+        assert np.array_equal(op.dense(), [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0.5, 0.5, 0]])
+        X = np.array([[1.0, 0.9], [0.9, 1.0]])
+        assert np.allclose(op.values(X.ravel()), [1.0, 1.0, 0.9])
+
+    def test_unconstrained_positions_stay_free(self):
+        # X01 feeds no row: it keeps the value the cone step gives it
+        cons = [
+            sdp.SdpConstraint(((0, 0, 1.0),), (), 1.0),
+            sdp.SdpConstraint(((1, 1, 1.0),), (), 4.0),
+        ]
+        sol = sdp.solve(sdp.SdpProblem(2, 0, cons))
+        assert sol.status == sdp.OPTIMAL
+        assert sol.X[0, 0] == pytest.approx(1.0, abs=1e-7)
+        assert sol.X[1, 1] == pytest.approx(4.0, abs=1e-7)
+
+    def test_compiled_problem_checks_shapes(self):
+        op = sdp.ConstraintMap.from_entries(2, 1, [0], [0], [1], [1.0])
+        with pytest.raises(sdp.SdpError):
+            sdp.SdpProblem(2, 0, operator=op, rhs=np.zeros(2))
+        with pytest.raises(sdp.SdpError):
+            sdp.SdpProblem(3, 0, operator=op, rhs=np.zeros(1))
+        with pytest.raises(sdp.SdpError):
+            sdp.SdpProblem(2, 1, operator=op, rhs=np.zeros(1), free_matrix=np.zeros((1, 2)))
+        with pytest.raises(sdp.SdpError):
+            sdp.SdpProblem(
+                2, 0, [sdp.SdpConstraint(((0, 0, 1.0),), (), 1.0)], operator=op, rhs=np.zeros(1)
+            )

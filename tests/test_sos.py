@@ -18,6 +18,7 @@ from sostensor.sos import (
     extract_sos_terms,
     f_hat,
     gershgorin_lower_bound,
+    _constraint_values,
     gram_system,
     gram_to_polynomial,
     lambda_bound,
@@ -33,7 +34,13 @@ from sostensor.tensor import (
     identity_tensor,
 )
 
-from helpers import grid_min, random_symmetric_tensor
+from helpers import (
+    grid_min,
+    random_symmetric_tensor,
+    reference_congruence,
+    reference_constraint_values,
+    reference_gram_pairs,
+)
 
 
 def poly_tensor(degree, dim, terms):
@@ -441,3 +448,118 @@ class TestStopRule:
             assert res.status == "inconclusive"
             assert "after 50 iterations" in res.message
             assert "stop tolerance" in res.message
+
+
+GRAM_SIZES = [(2, 4), (3, 4), (4, 4), (2, 6), (3, 6)]
+
+
+class TestGramOperator:
+    """The per-(n, m) label array against the per-alpha loops it replaced."""
+
+    @staticmethod
+    def _random_symmetric(rng, N):
+        B = rng.standard_normal((N, N))
+        return B + B.T
+
+    @pytest.mark.parametrize("dim,order", GRAM_SIZES)
+    def test_pairs_match_double_loop(self, dim, order):
+        system = gram_system(dim, order)
+        ref = reference_gram_pairs(system.basis)
+        assert set(ref) == set(system.alphas)
+        for alpha, prs in zip(system.alphas, system.pairs):
+            assert list(prs) == ref[alpha]
+
+    @pytest.mark.parametrize("dim,order", GRAM_SIZES)
+    def test_constraint_values_match_loop(self, dim, order):
+        system = gram_system(dim, order)
+        rng = np.random.default_rng(dim * 10 + order)
+        Q = self._random_symmetric(rng, len(system.basis))
+        ref = reference_constraint_values(Q, system.basis, system.alphas)
+        got = _constraint_values(Q, system)
+        assert np.allclose(got, ref, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("dim,order", GRAM_SIZES)
+    def test_gram_to_polynomial_matches_loop(self, dim, order):
+        system = gram_system(dim, order)
+        rng = np.random.default_rng(dim * 10 + order + 1)
+        Q = self._random_symmetric(rng, len(system.basis))
+        ref = reference_constraint_values(Q, system.basis, system.alphas)
+        poly = gram_to_polynomial(Q, system)
+        assert poly.degree == order and poly.dim == dim
+        for alpha, v in zip(system.alphas, ref):
+            assert float(poly.coefficient(alpha)) == pytest.approx(v, rel=1e-13, abs=1e-13)
+
+    @pytest.mark.parametrize("dim,order", GRAM_SIZES)
+    def test_rank_reduction_map_matches_loop(self, dim, order):
+        system = gram_system(dim, order)
+        rng = np.random.default_rng(dim * 10 + order + 2)
+        N = len(system.basis)
+        for r in (1, max(1, N // 2), N):
+            V = rng.standard_normal((N, r))
+            ref = reference_congruence(V, system.basis, system.alphas)
+            got = system.congruence(V)
+            assert got.shape == ref.shape
+            assert np.allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+    def test_solver_operator_reads_the_labels(self):
+        system = gram_system(3, 4)
+        N = len(system.basis)
+        rng = np.random.default_rng(5)
+        Q = self._random_symmetric(rng, N)
+        assert system.operator.label is system.labels
+        assert np.array_equal(
+            system.operator.values(Q.ravel()), _constraint_values(Q, system)
+        )
+        # the dump of the compiled problem lists the same pairs
+        problem = sdp.SdpProblem(
+            N, 0, operator=system.operator, rhs=np.arange(system.num_constraints, dtype=float)
+        )
+        loaded = sdp.load_problem(sdp.dump_problem(problem))
+        for con, prs in zip(loaded.constraints, system.pairs):
+            assert [(i, j) for i, j, _ in con.matrix_entries] == list(prs)
+        assert np.array_equal(loaded.rhs, problem.rhs)
+
+    def test_reduce_cauchy_gram_to_extreme(self):
+        # class seed 40000 at order 4, dim 2: the solver's Gram has rank 3,
+        # above the universal bound 2.70; the extreme point meets it
+        A = generators.random_class_instance("cauchy_psd", 4, 2, 40000)
+        f = A.to_polynomial()
+        system = gram_system(2, 4)
+        problem = sdp.SdpProblem(
+            len(system.basis), 0, operator=system.operator, rhs=system.rhs(f)
+        )
+        sol = sdp.solve(problem, sdp.SolveOptions(feas_tol=5e-7))
+        assert sol.status == sdp.OPTIMAL
+        Q = sdp.psd_project(sol.X)
+        before = _constraint_values(Q, system)
+        Q2 = reduce_to_extreme(Q, system)
+        after = _constraint_values(Q2, system)
+        guard = 1e-9 * (1.0 + np.max(np.abs(before)))
+        assert np.max(np.abs(after - before)) <= guard
+        w = np.linalg.eigvalsh(Q2)
+        assert w[0] >= -1e-9 * w[-1]
+        rank = int(np.count_nonzero(w > 1e-7 * w[-1]))
+        assert rank <= lambda_bound(4, 2)
+
+    def test_facial_reduction_with_exact_zero(self, monkeypatch):
+        # (x0 - x1)^2 (x0^2 + x1^2) + x2^4 vanishes at (1, 1, 0); every Gram
+        # matrix has z(1, 1, 0) in its kernel, and the reduced program
+        # (dense rows from the congruence P' E_alpha P) finds one
+        from sostensor import descent, sos
+
+        f = HomogeneousPolynomial(4, 3, {
+            (4, 0, 0): 1.0, (3, 1, 0): -2.0, (2, 2, 0): 2.0, (1, 3, 0): -2.0,
+            (0, 4, 0): 1.0, (0, 0, 4): 1.0,
+        })
+        zero = np.array([1.0, 1.0, 0.0])
+        monkeypatch.setattr(
+            sos, "sphere_minimize",
+            lambda *a, **k: descent.SphereMinimum(0.0, zero, 0.0, [zero]),
+        )
+        system = gram_system(3, 4)
+        Q = sos._facial_reduction_solve(f, system, 1e-9, CertifyOptions(max_iter=20_000))
+        assert Q is not None
+        resid = _constraint_values(Q, system) - system.rhs(f)
+        assert np.max(np.abs(resid)) <= 1e-8
+        assert np.linalg.norm(Q @ system.basis.evaluate(zero)) <= 1e-8
+        assert np.linalg.eigvalsh(0.5 * (Q + Q.T))[0] >= -1e-9

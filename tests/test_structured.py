@@ -320,6 +320,47 @@ class TestDoubleBFamily:
             assert fam.mb0
 
 
+EXTREME_ENTRIES = {
+    (0, 0, 0, 0): 1.0,
+    (1, 1, 1, 1): 1.0,
+    (0, 0, 1, 1): -1e150,
+    (0, 1, 1, 1): 1e-300,
+}
+
+
+class TestExtremeMagnitudes:
+    def test_classify_extreme_tensor_returns(self):
+        import time
+
+        A = SymmetricTensor(4, 2, dict(EXTREME_ENTRIES))
+        t0 = time.perf_counter()
+        rep = classify(A)
+        # the radius bracket converges to rounding of its 3e150 magnitude
+        # in a few sweeps instead of running to the 200k iteration cap
+        assert time.perf_counter() - t0 < 0.5
+        mb0 = rep.verdicts["mb0"]
+        assert mb0.holds is False
+        assert mb0.witness["rho"] == pytest.approx(3e150, rel=1e-9)
+        assert rep.verdicts["h_tensor"].holds is False
+
+    def test_mb0_stall_is_guarded(self, monkeypatch):
+        from sostensor import structured
+
+        def stalled(*args, **kwargs):
+            raise structured.PowerIterationError(1.0, 2.0, 7)
+
+        monkeypatch.setattr(structured, "_mb0_check", stalled)
+        fam = classify_b_family(identity_tensor(4, 2))
+        assert fam.mb0 is None and fam.boundary
+        assert fam.details["bracket"] == [1.0, 2.0]
+        assert fam.double_b  # the closed-form verdicts are unaffected
+        rep = classify(identity_tensor(4, 2))
+        v = rep.verdicts["mb0"]
+        assert v.holds is None and v.boundary
+        assert v.note == "power iteration stalled"
+        assert v.witness == {"bracket": [1.0, 2.0]}
+
+
 class TestSpectralRadius:
     def test_all_one(self):
         assert spectral_radius_nonnegative(all_one_tensor(4, 3)) == pytest.approx(
