@@ -26,13 +26,14 @@ import numpy as np
 
 from . import sdp
 from .descent import sphere_minimize
-from .structured import delta_index_set, detect_extended_z, row_tables
+from .structured import cauchy_generator, delta_index_set, detect_extended_z, row_tables
 from .tensor import (
     Exponent,
     HomogeneousPolynomial,
     Number,
     SymmetricTensor,
     TensorError,
+    exponent_multiplicity,
     from_polynomial,
 )
 
@@ -42,13 +43,10 @@ class SosError(ValueError):
 
 
 # A certificate is accepted when every coefficient of z' Q z is within
-# CERTIFICATE_TOL * (1 + max |coefficient|) of the form's.  The Gram SDP
+# CERTIFICATE_TOL * (1 + max |coefficient|) of the form's, both for the form
+# and for its rescaling to unit pure powers (see `_Scaling`).  The Gram SDP
 # solves stop at half that residual (see `_certify_monolithic`).
 CERTIFICATE_TOL = 1e-6
-
-
-def _certificate_tolerance(f: HomogeneousPolynomial) -> float:
-    return CERTIFICATE_TOL * (1.0 + f.max_abs_coefficient())
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +435,21 @@ def gershgorin_lower_bound(A: SymmetricTensor) -> float:
     return out if A.dim else 0.0
 
 
+def cauchy_gram(c: Sequence[float], basis: MonomialBasis) -> np.ndarray:
+    """Gram matrix of the Cauchy form with generator c over `basis`.
+
+    For c > 0 the form is f(x) = integral over s > 0 of
+    (sum_i x_i e^(-c_i s))^m ds; expanding the square of the degree-m/2 power
+    gives Q[beta, gamma] = mult(beta) mult(gamma) / (c.beta + c.gamma) with
+    mult(beta) = (m/2)! / beta!.  That is a positive Cauchy matrix scaled on
+    both sides by the same diagonal, so Q is PSD by construction (Chen & Qi
+    2015).
+    """
+    mult = np.array([exponent_multiplicity(b) for b in basis.exponents], dtype=float)
+    cb = np.array(basis.exponents, dtype=float) @ np.asarray(c, dtype=float)
+    return np.outer(mult, mult) / (cb[:, None] + cb[None, :])
+
+
 # ---------------------------------------------------------------------------
 # sampling for negative points (infeasibility witnesses)
 
@@ -539,11 +552,20 @@ def reduce_to_extreme(
 
 
 def extract_sos_terms(
-    Q: np.ndarray, basis: MonomialBasis, rank_threshold: float = 1e-7
+    Q: np.ndarray,
+    basis: MonomialBasis,
+    rank_threshold: float = 1e-7,
+    basis_scale: Optional[np.ndarray] = None,
 ) -> Tuple[List[HomogeneousPolynomial], int]:
-    """Eigen-split z'Qz into squares; the count is the numerical rank."""
+    """Eigen-split z'Qz into squares; the count is the numerical rank.
+
+    With `basis_scale` = d^beta over the basis, Q is a Gram matrix in the
+    variables y = d * x, and each square is returned in x.
+    """
     Qs = 0.5 * (np.asarray(Q, dtype=float) + np.asarray(Q, dtype=float).T)
     w, V = np.linalg.eigh(Qs)
+    if basis_scale is not None:
+        V = basis_scale[:, None] * V
     wmax = max(float(w[-1]), 0.0)
     squares: List[HomogeneousPolynomial] = []
     for lam, vec in sorted(zip(w, V.T), key=lambda t: -t[0]):
@@ -573,7 +595,8 @@ def certify_sos(
     and the certificates are merged, which keeps every Gram matrix at the
     per-block size.  A certificate is returned only when every coefficient
     of z' Q z lies within CERTIFICATE_TOL * (1 + max |coefficient|) of the
-    form's; the Gram SDP solves stop at half that tolerance.  Failure is
+    form's, in the form's variables and in variables scaled to unit pure
+    powers; the Gram SDP solves stop at half that tolerance.  Failure is
     reported as `not_sos` only with evidence (a point with a strictly
     negative value, or a verified separating certificate); anything else is
     `inconclusive`.
@@ -610,17 +633,59 @@ def certify_sos(
     return _certify_monolithic(f, opts)
 
 
+@dataclass(frozen=True)
+class _Scaling:
+    """f in the variables y = d * x, in which its pure powers are 1.
+
+    d_i = a_i^(1/m) for the coefficient a_i of x_i^m; a variable whose pure
+    power is not positive keeps d_i = 1.  The scaled form g(y) = f(y / d)
+    has coefficients f_alpha / d^alpha, and a Gram matrix Q of g gives the
+    Gram matrix S Q S of f with S = diag(d^beta) over the basis, so SOS-ness
+    is invariant.  Certificates are checked in both forms: in f's units
+    alone, one huge pure power widens the tolerance until it hides the
+    defect of a form that is not PSD, and f's units are the ones a reader
+    of the certificate checks.
+    """
+
+    system: GramSystem
+    alpha_scale: np.ndarray  # d^alpha over system.alphas
+    basis_scale: np.ndarray  # d^beta over the basis
+    rhs_f: np.ndarray  # f's coefficients over system.alphas
+    rhs: np.ndarray  # g's coefficients
+
+    @staticmethod
+    def of(f: HomogeneousPolynomial, system: GramSystem) -> "_Scaling":
+        pure = np.array([float(f.diagonal_coefficient(i)) for i in range(f.dim)])
+        d = np.ones(f.dim)
+        d[pure > 0] = pure[pure > 0] ** (1.0 / f.degree)
+        alpha_scale = np.prod(d ** np.array(system.alphas), axis=1)
+        basis_scale = np.prod(d ** np.array(system.basis.exponents), axis=1)
+        rhs_f = system.rhs(f)
+        return _Scaling(system, alpha_scale, basis_scale, rhs_f, rhs_f / alpha_scale)
+
+    @property
+    def tolerance(self) -> float:
+        """Certificate tolerance of the scaled form, in its units."""
+        return CERTIFICATE_TOL * (1.0 + float(np.max(np.abs(self.rhs))))
+
+    @property
+    def tolerance_f(self) -> float:
+        return CERTIFICATE_TOL * (1.0 + float(np.max(np.abs(self.rhs_f))))
+
+
 def _certify_monolithic(
     f: HomogeneousPolynomial, opts: CertifyOptions
 ) -> Union[SosCertificate, NotCertified]:
     """Certify f with one Gram matrix over the full half-degree basis.
 
-    Diagonal forms take an exact diagonal Gram matrix.  Otherwise the Gram
-    SDP of f / max|coef| is solved until its residual, in f's units, is half
-    the certificate tolerance.  Whatever iterate the solver returns without
-    Farkas evidence is finished and checked, and the check alone decides.
-    Facial reduction and a deeper negative-point scan follow only when that
-    check fails on an iterate stopped at the iteration cap.
+    Diagonal forms take an exact diagonal Gram matrix, and positive Cauchy
+    forms their closed-form one.  Otherwise the Gram SDP of the scaled form
+    g (see `_Scaling`), divided by its largest coefficient, is solved until
+    its residual is half the certificate tolerance of both g and f.
+    Whatever matrix is proposed without Farkas evidence is finished and
+    checked, and the check alone decides.  Facial reduction and a deeper
+    negative-point scan follow only when that check fails on an iterate
+    stopped at the iteration cap.
     """
     n, m = f.dim, f.degree
     system = gram_system(n, m)
@@ -650,15 +715,25 @@ def _certify_monolithic(
             message="negative diagonal coefficient",
         )
 
-    scale = f.max_abs_coefficient() or 1.0
-    fs = f.scale(1.0 / scale)
-    rhs = system.rhs(fs)
+    scaling = _Scaling.of(f, system)
+    c = cauchy_generator(f)
+    if c is not None:
+        s = scaling.basis_scale
+        Q = cauchy_gram(c, system.basis) / np.outer(s, s)
+        finished = _finish_certificate(Q, scaling, 1.0, opts)
+        if isinstance(finished, SosCertificate):
+            return finished
+
+    scale = float(np.max(np.abs(scaling.rhs))) or 1.0
+    rhs = scaling.rhs / scale
     # The solver stops once its cone iterate, PSD by construction, misses
     # every scaled coefficient by at most feas_tol * (1 + max |rhs|).  Put
-    # that bound at half the certificate tolerance in f's own units, so the
-    # stopped iterate passes the check with a 2x margin over the rank
-    # reduction's drift (at most 1e-9 relative).
-    stop = 0.5 * _certificate_tolerance(f)
+    # that bound at half the certificate tolerance of g, and of f after the
+    # factor d^alpha, so the stopped iterate passes the check with a 2x
+    # margin over the rank reduction's drift (at most 1e-9 relative).
+    stop = 0.5 * min(
+        scaling.tolerance, scaling.tolerance_f / float(np.max(scaling.alpha_scale))
+    )
     feas_tol = stop / (scale * (1.0 + float(np.max(np.abs(rhs)))))
     problem = sdp.SdpProblem(
         len(system.basis), 0, operator=system.operator, rhs=rhs
@@ -668,22 +743,24 @@ def _certify_monolithic(
     )
 
     if sol.status == sdp.INFEASIBLE_EVIDENCE:
+        # y separates g's coefficients; y / d^alpha separates f's
         return NotCertified(
             "not_sos",
-            farkas=sol.farkas,
+            farkas=sol.farkas / scaling.alpha_scale,
             message="separating certificate found for the Gram system",
         )
 
-    finished = _finish_certificate(sol.X, system, f, scale, opts)
+    finished = _finish_certificate(sol.X, scaling, scale, opts)
     if isinstance(finished, SosCertificate) or sol.status == sdp.OPTIMAL:
         # an iterate that met the stop rule is finished either way; the
         # retries below are for iterates stopped at the iteration cap
         return finished
 
     if opts.facial_reduction:
-        reduced = _facial_reduction_solve(fs, system, feas_tol, opts)
+        gs = HomogeneousPolynomial(m, n, dict(zip(system.alphas, rhs.tolist())))
+        reduced = _facial_reduction_solve(gs, system, feas_tol, opts)
         if reduced is not None:
-            finished = _finish_certificate(reduced, system, f, scale, opts)
+            finished = _finish_certificate(reduced, scaling, scale, opts)
             if isinstance(finished, SosCertificate):
                 return finished
 
@@ -698,34 +775,39 @@ def _certify_monolithic(
         "inconclusive",
         message=f"solver stopped after {sol.iterations} iterations "
         f"with primal residual {sol.primal_residual * scale:.3g} "
-        f"above stop tolerance {stop:.3g}",
+        f"above stop tolerance {stop:.3g} in the scaled form",
     )
 
 
 def _finish_certificate(
     X: np.ndarray,
-    system: GramSystem,
-    f: HomogeneousPolynomial,
+    scaling: _Scaling,
     scale: float,
     opts: CertifyOptions,
 ) -> Union[SosCertificate, NotCertified]:
-    """Unscale, rank-reduce and check a solver iterate against f."""
+    """Unscale, rank-reduce and check a Gram matrix of the scaled form g.
+
+    The certificate returned is in f's variables; its residual is in f's
+    units.  It is accepted only when the coefficient residual is within the
+    certificate tolerance of g and, after the factor d^alpha, of f.
+    """
+    system = scaling.system
     Q = sdp.psd_project(np.asarray(X) * scale)
     Q = reduce_to_extreme(Q, system)
     Q = sdp.psd_project(Q)
-    recon = gram_to_polynomial(Q, system)
-    residual = max(
-        (abs(float(recon.coefficient(a)) - float(f.coefficient(a))) for a in system.alphas),
-        default=0.0,
-    )
-    tol = _certificate_tolerance(f)
-    if residual > tol:
+    vals = _constraint_values(Q, system)
+    residual_g = float(np.max(np.abs(vals - scaling.rhs)))
+    residual = float(np.max(np.abs(scaling.alpha_scale * vals - scaling.rhs_f)))
+    if residual_g > scaling.tolerance or residual > scaling.tolerance_f:
         return NotCertified(
             "inconclusive",
-            message=f"certificate residual {residual:.3g} above tolerance {tol:.3g}",
+            message=f"certificate residual {residual:.3g} (tolerance "
+            f"{scaling.tolerance_f:.3g}), {residual_g:.3g} in the scaled form "
+            f"(tolerance {scaling.tolerance:.3g})",
         )
-    squares, rank = extract_sos_terms(Q, system.basis, opts.rank_threshold)
-    return SosCertificate(system.basis, Q, squares, rank, residual)
+    s = scaling.basis_scale
+    squares, rank = extract_sos_terms(Q, system.basis, opts.rank_threshold, s)
+    return SosCertificate(system.basis, np.outer(s, s) * Q, squares, rank, residual)
 
 
 def _facial_reduction_solve(

@@ -121,12 +121,9 @@ class EigMinResult:
 # certified maximum diagonal shift via the Gram semidefinite program
 
 
-def _pure_power_rows(system, n: int, m: int) -> np.ndarray:
-    rows = np.zeros(system.num_constraints)
-    for k, alpha in enumerate(system.alphas):
-        if max(alpha) == m:
-            rows[k] = 1.0
-    return rows
+def _pure_power_rows(system, m: int) -> np.ndarray:
+    """1.0 at the constraints of the pure powers x_i^m, 0.0 elsewhere."""
+    return (np.array(system.alphas).max(axis=1) == m).astype(float)
 
 
 def _max_shift_sdp(
@@ -163,7 +160,7 @@ def _max_shift_sdp(
 
     system = gram_system(n, m)
     N = len(system.basis)
-    pure = _pure_power_rows(system, n, m)
+    pure = _pure_power_rows(system, m)
     rhs_base = system.rhs(fs)
 
     warm: Optional[np.ndarray] = None

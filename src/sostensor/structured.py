@@ -23,12 +23,14 @@ import numpy as np
 
 from .tensor import (
     Exponent,
+    HomogeneousPolynomial,
     Index,
     Number,
     SymmetricTensor,
     TensorError,
     all_one_tensor,
     comparison_tensor,
+    exponent_multiplicity,
     identity_tensor,
     multiplicity,
     partially_all_one,
@@ -722,6 +724,48 @@ def cauchy_tensor(
     return SymmetricTensor(order, n, entries)
 
 
+# relative tolerance on each float coefficient of a detected Cauchy form
+CAUCHY_RTOL = 1e-12
+
+
+def cauchy_generator(
+    f: HomogeneousPolynomial, positive: bool = True
+) -> Optional[Tuple[Number, ...]]:
+    """Generating vector c of a Cauchy form, or None when f is not one.
+
+    The form of the Cauchy tensor with generator c has every one of the
+    C(n+m-1, m) degree-m monomials, with coefficient mult(alpha) / (c.alpha).
+    Its pure powers give c_i = 1 / (m * coefficient of x_i^m); every
+    coefficient is then checked against that vector, exactly (and c is exact)
+    when all coefficients are int or Fraction, else to a relative
+    CAUCHY_RTOL.  With `positive` a form whose vector would have an entry
+    <= 0 is rejected from its pure powers alone, so a form that is not a
+    positive Cauchy form costs O(1) (a missing monomial), O(n) (a pure power
+    that is not positive) or one vectorised pass over its terms.
+    """
+    n, m = f.dim, f.degree
+    if m < 1 or len(f.terms) != math.comb(n + m - 1, m):
+        return None
+    pure = [f.diagonal_coefficient(i) for i in range(n)]
+    if positive and any(a <= 0 for a in pure):
+        return None
+    mult = [exponent_multiplicity(alpha) for alpha in f.terms]
+    if all(isinstance(v, (int, Fraction)) for v in f.terms.values()):
+        c = tuple(Fraction(1, m) / a for a in pure)
+        for (alpha, coef), k in zip(f.terms.items(), mult):
+            if coef * sum(e * ci for e, ci in zip(alpha, c) if e) != k:
+                return None
+        return c
+    cf = 1.0 / (m * np.array([float(a) for a in pure]))
+    E = np.array(list(f.terms), dtype=float)
+    coef = np.array([float(v) for v in f.terms.values()])
+    with np.errstate(all="ignore"):
+        ratio = coef * (E @ cf) / np.array(mult, dtype=float)
+    if not np.all(np.abs(ratio - 1.0) <= CAUCHY_RTOL):
+        return None
+    return tuple(float(v) for v in cf)
+
+
 def cauchy_is_psd(c: Sequence[Number], order: int) -> bool:
     """Positive semidefiniteness of the even-order Cauchy tensor.
 
@@ -898,4 +942,14 @@ def classify(A: SymmetricTensor, tol: float = BOUNDARY_TOL) -> ClassificationRep
             None, True, {"bracket": list(exc.bracket)}, "power iteration stalled"
         )
         report.verdicts["h_tensor_nonsingular"] = ClassVerdict(None, True)
+
+    c = cauchy_generator(A.to_polynomial(), positive=False)
+    if c is None:
+        report.verdicts["cauchy"] = ClassVerdict(False)
+    else:
+        positive = all(v > 0 for v in c)
+        report.verdicts["cauchy"] = ClassVerdict(
+            positive, False, {"c": _json_safe(c)},
+            "" if positive else "non-positive generator",
+        )
     return report

@@ -108,11 +108,16 @@ class HomogeneousPolynomial:
     def __post_init__(self):
         clean: Dict[Exponent, Number] = {}
         for alpha, c in self.terms.items():
-            # C-level passes: long exponent vectors dominate large forms
-            alpha = tuple(map(int, alpha))
+            # C-level passes: long exponent vectors dominate large forms.  A
+            # tuple whose sum is a plain int holds only ints and is kept as is.
+            total = sum(alpha) if type(alpha) is tuple else None
+            if type(total) is not int:
+                exact = tuple(map(int, alpha))
+                if exact != tuple(alpha):
+                    raise TensorError(f"non-integer exponent vector {tuple(alpha)}")
+                alpha, total = exact, sum(exact)
             if len(alpha) != self.dim or (alpha and min(alpha) < 0):
                 raise TensorError(f"bad exponent vector {alpha} for dim {self.dim}")
-            total = sum(alpha)
             if total != self.degree:
                 raise TensorError(
                     f"non-homogeneous term {alpha}: degree {total} != {self.degree}"

@@ -289,3 +289,13 @@ def reference_congruence(V, basis, alphas):
                 Ak += np.outer(V[p], V[q]) + np.outer(V[q], V[p])
         out[k] = Ak[iu, ju]
     return out
+
+
+def reference_pure_power_rows(system, m):
+    """1.0 at the constraints whose alpha is a pure power x_i^m, by a scan
+    over the system's alphas."""
+    rows = np.zeros(system.num_constraints)
+    for k, alpha in enumerate(system.alphas):
+        if max(alpha) == m:
+            rows[k] = 1.0
+    return rows

@@ -145,6 +145,20 @@ class TestCliCommands:
         assert main(["sos", str(path)]) == EXIT_OK
         assert "certified" in capsys.readouterr().out
 
+    def test_cauchy_json(self, tmp_path, capsys):
+        # the file holds exact rationals, so the generator is exact
+        path = tmp_path / "c.json"
+        main(["gen", "cauchy", "--c", "1,2,3", "--m", "4", "--out", str(path)])
+        capsys.readouterr()
+        assert main(["sos", str(path), "--format", "json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["summary"] == "certified"
+        assert payload["residual"] <= 1e-12
+        assert main(["classify", str(path), "--format", "json"]) == EXIT_OK
+        verdict = json.loads(capsys.readouterr().out)["classes"]["cauchy"]
+        assert verdict["holds"] is True
+        assert verdict["witness"] == {"c": ["1", "2", "3"]}
+
     def test_sos_indefinite(self, tmp_path, capsys):
         f = HomogeneousPolynomial(4, 2, {(4, 0): 1, (2, 2): -3, (0, 4): 1})
         path = tmp_path / "t.txt"

@@ -14,6 +14,7 @@ from sostensor.sos import (
     SosCertificate,
     SosError,
     bd_exponent,
+    cauchy_gram,
     certify_sos,
     extract_sos_terms,
     f_hat,
@@ -28,8 +29,10 @@ from sostensor.sos import (
     single_term_mu0,
     sos_rank_bounds,
 )
+from sostensor.structured import cauchy_generator, cauchy_tensor
 from sostensor.tensor import (
     HomogeneousPolynomial,
+    SymmetricTensor,
     from_polynomial,
     identity_tensor,
 )
@@ -399,32 +402,41 @@ def _independent_residual(A, cert):
     return max(abs(recon.get(a, 0.0) - float(f.coefficient(a))) for a in keys)
 
 
+def _count_solves(monkeypatch):
+    """Record (status, iterations, max_iter) of every sdp.solve call."""
+    calls = []
+    solve = sdp.solve
+
+    def counting(problem, opts=None):
+        sol = solve(problem, opts)
+        calls.append((sol.status, sol.iterations, (opts or sdp.SolveOptions()).max_iter))
+        return sol
+
+    monkeypatch.setattr(sdp, "solve", counting)
+    return calls
+
+
 class TestStopRule:
     """The Gram SDP stops at half the certificate tolerance, in the form's
-    own units, and only the certificate check accepts an iterate."""
+    own units, and only the certificate check accepts an iterate.  The
+    Cauchy instance is sent through the SDP: its closed-form Gram matrix is
+    switched off, so the solver's stop rule stays under test."""
+
+    @pytest.fixture(autouse=True)
+    def _sdp_route(self, monkeypatch):
+        from sostensor import sos
+
+        monkeypatch.setattr(sos, "cauchy_generator", lambda f: None)
 
     @staticmethod
     def _cauchy(scale=1.0):
         A = generators.random_class_instance("cauchy_psd", 4, 3, 40004)
         return from_polynomial(A.to_polynomial().scale(scale))
 
-    @staticmethod
-    def _count_iterations(monkeypatch):
-        counts = []
-        solve = sdp.solve
-
-        def counting(problem, opts=None):
-            sol = solve(problem, opts)
-            counts.append(sol.iterations)
-            return sol
-
-        monkeypatch.setattr(sdp, "solve", counting)
-        return counts
-
     @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3])
     def test_cauchy_certified_within_half_tolerance(self, monkeypatch, scale):
         A = self._cauchy(scale)
-        counts = self._count_iterations(monkeypatch)
+        calls = _count_solves(monkeypatch)
         cert = certify_sos(A)
         assert isinstance(cert, SosCertificate)
         half = 0.5 * CERTIFICATE_TOL * (1 + A.to_polynomial().max_abs_coefficient())
@@ -435,7 +447,7 @@ class TestStopRule:
         assert w[0] >= -1e-12 * max(w[-1], 1.0)
         if scale == 1.0:
             # 200k iterations (the cap) at a fixed 1e-8 stop tolerance
-            assert 0 < sum(counts) < 20_000
+            assert 0 < sum(it for _, it, _ in calls) < 20_000
 
     def test_iteration_cap_never_accepts_above_tolerance(self):
         A = self._cauchy()
@@ -563,3 +575,158 @@ class TestGramOperator:
         assert np.max(np.abs(resid)) <= 1e-8
         assert np.linalg.norm(Q @ system.basis.evaluate(zero)) <= 1e-8
         assert np.linalg.eigvalsh(0.5 * (Q + Q.T))[0] >= -1e-9
+
+
+def _spy_cauchy_gram(monkeypatch):
+    from sostensor import sos
+
+    calls = []
+
+    def spy(c, basis):
+        calls.append(c)
+        return cauchy_gram(c, basis)
+
+    monkeypatch.setattr(sos, "cauchy_gram", spy)
+    return calls
+
+
+class TestCauchyClosedForm:
+    """Positive Cauchy forms are certified from their closed-form Gram
+    matrix, with no SDP solve."""
+
+    @pytest.mark.parametrize("s", range(20))
+    def test_class_instances_without_sdp(self, monkeypatch, s):
+        order, dim = (4, 6)[s % 2], 2 + s % 3
+        A = generators.random_class_instance("cauchy_psd", order, dim, 40_000 + s)
+        calls = _count_solves(monkeypatch)
+        cert = certify_sos(A)
+        assert isinstance(cert, SosCertificate)
+        assert calls == []
+        f = A.to_polynomial()
+        assert _independent_residual(A, cert) <= 1e-12 * (1 + f.max_abs_coefficient())
+        w = np.linalg.eigvalsh(0.5 * (cert.gram + cert.gram.T))
+        assert w[0] >= -1e-12 * w[-1]
+        assert cert.rank_estimate <= lambda_bound(order, dim)
+        assert int(np.count_nonzero(w > 1e-7 * w[-1])) <= lambda_bound(order, dim)
+
+    def test_gram_reproduces_the_form(self):
+        c = [0.4, 1.1, 2.3]
+        system = gram_system(3, 4)
+        Q = cauchy_gram(c, system.basis)
+        f = cauchy_tensor(c, 4).to_polynomial()
+        ref = reference_constraint_values(Q, system.basis, system.alphas)
+        assert np.allclose(ref, system.rhs(f), rtol=1e-14, atol=0)
+        assert np.linalg.eigvalsh(Q)[0] > 0
+
+    def test_rational_generator(self, monkeypatch):
+        c = [Fraction(1, 2), Fraction(3, 2), 2]
+        A = cauchy_tensor(c, 4)
+        assert cauchy_generator(A.to_polynomial()) == tuple(Fraction(v) for v in c)
+        calls = _count_solves(monkeypatch)
+        cert = certify_sos(A)
+        assert isinstance(cert, SosCertificate)
+        assert calls == []
+        assert _independent_residual(A, cert) <= 1e-12 * (1 + A.to_polynomial().max_abs_coefficient())
+
+    def test_perturbed_entry_takes_the_sdp(self, monkeypatch):
+        # a larger diagonal entry keeps the form SOS (it adds 1e-3 x0^4), but
+        # the generator read from it misses every mixed coefficient of x0
+        A = cauchy_tensor([0.5, 1.0, 1.7], 4)
+        idx = (0, 0, 0, 0)
+        A = SymmetricTensor(4, 3, {**A.entries, idx: A.entries[idx] + 1e-3})
+        assert cauchy_generator(A.to_polynomial()) is None
+        closed = _spy_cauchy_gram(monkeypatch)
+        calls = _count_solves(monkeypatch)
+        cert = certify_sos(A)
+        assert closed == []
+        assert len(calls) >= 1
+        assert isinstance(cert, SosCertificate)
+
+    def test_negative_generator_takes_no_closed_form(self, monkeypatch):
+        A = cauchy_tensor([-1, 2.5, 3.1], 4)
+        assert cauchy_generator(A.to_polynomial()) is None
+        closed = _spy_cauchy_gram(monkeypatch)
+        res = certify_sos(A, CertifyOptions(point_scan=False))
+        assert closed == []
+        assert isinstance(res, NotCertified)
+
+
+def _scaled_residual(f, cert):
+    """Largest coefficient gap, in the form rescaled to unit pure powers,
+    between the certificate's Gram matrix and the form."""
+    m = f.degree
+    d = np.array([
+        float(f.diagonal_coefficient(i)) ** (1.0 / m)
+        if f.diagonal_coefficient(i) > 0 else 1.0
+        for i in range(f.dim)
+    ])
+    B = cert.basis.exponents
+    recon = {}
+    for p, bp in enumerate(B):
+        for q, bq in enumerate(B):
+            alpha = tuple(x + y for x, y in zip(bp, bq))
+            recon[alpha] = recon.get(alpha, 0.0) + float(cert.gram[p, q])
+    gap, top = 0.0, 0.0
+    for alpha in set(recon) | set(f.terms):
+        da = float(np.prod(d ** np.array(alpha)))
+        g = float(f.coefficient(alpha)) / da
+        gap = max(gap, abs(recon.get(alpha, 0.0) / da - g))
+        top = max(top, abs(g))
+    return gap, top
+
+
+class TestScaledCertificate:
+    """The residual is checked in the form rescaled to unit pure powers, so
+    one huge pure power cannot widen the tolerance past a defect."""
+
+    def test_not_psd_form_with_huge_pure_power_is_not_certified(self):
+        # minimum about -8e-6 on the sphere; residual 1.27e-5 is below
+        # 1e-6 * (1 + 1e6) but far above the scaled form's tolerance
+        f = HomogeneousPolynomial(4, 2, {(4, 0): 1e6, (0, 4): 1e-6, (2, 2): -6.0})
+        res = certify_sos(from_polynomial(f))
+        assert isinstance(res, NotCertified)
+
+    def test_psd_form_with_huge_pure_power_is_certified(self):
+        # PSD since 1e-6 > 9 / 1e8; scaled: y1^4 + y2^4 - 0.6 y1^2 y2^2
+        f = HomogeneousPolynomial(4, 2, {(4, 0): 1e8, (0, 4): 1e-6, (2, 2): -6.0})
+        A = from_polynomial(f)
+        cert = certify_sos(A)
+        assert isinstance(cert, SosCertificate)
+        gap, top = _scaled_residual(f, cert)
+        assert gap <= CERTIFICATE_TOL * (1 + top)
+        assert _independent_residual(A, cert) <= CERTIFICATE_TOL * (1 + 1e8)
+        recon = cert.reconstruction()
+        for alpha, coef in f.terms.items():
+            assert float(recon.coefficient(alpha)) == pytest.approx(coef, rel=1e-3)
+
+
+PSD_NOT_SOS = {
+    # Reznick 2000, "Some concrete aspects of Hilbert's 17th problem"
+    "motzkin": {(4, 2, 0): 1, (2, 4, 0): 1, (0, 0, 6): 1, (2, 2, 2): -3},
+    "robinson": {
+        (6, 0, 0): 1, (0, 6, 0): 1, (0, 0, 6): 1, (4, 2, 0): -1, (2, 4, 0): -1,
+        (4, 0, 2): -1, (2, 0, 4): -1, (0, 4, 2): -1, (0, 2, 4): -1, (2, 2, 2): 3,
+    },
+    "choi_lam_s": {(4, 2, 0): 1, (0, 4, 2): 1, (2, 0, 4): 1, (2, 2, 2): -3},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PSD_NOT_SOS))
+def test_psd_but_not_sos_has_farkas_evidence(monkeypatch, name):
+    f = HomogeneousPolynomial(6, 3, PSD_NOT_SOS[name])
+    calls = _count_solves(monkeypatch)
+    res = certify_sos(from_polynomial(f))
+    assert isinstance(res, NotCertified)
+    assert res.status == "not_sos" and res.farkas is not None
+    status, iterations, cap = calls[-1]
+    assert status == sdp.INFEASIBLE_EVIDENCE and iterations < cap
+    # independent of the solver: sum_alpha y_alpha E_alpha is PSD and
+    # sum_alpha y_alpha f_alpha < 0, so no PSD Gram matrix reproduces f
+    system = gram_system(3, 6)
+    N = len(system.basis)
+    y = res.farkas
+    Y = y[system.labels].reshape(N, N)
+    w = np.linalg.eigvalsh(Y)
+    assert w[0] >= -1e-9 * w[-1]
+    coeffs = np.array([float(f.coefficient(a)) for a in system.alphas])
+    assert float(y @ coeffs) < -1e-3 * float(np.linalg.norm(y))

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sostensor import generators
-from sostensor.sos import gershgorin_lower_bound
+from sostensor.sos import gershgorin_lower_bound, gram_system
 from sostensor.spectral import (
     EigMinOptions,
+    _pure_power_rows,
     SpectralError,
     brute_force_min,
     generate_procedure1,
@@ -21,11 +22,24 @@ from sostensor.tensor import (
     identity_tensor,
 )
 
-from helpers import random_extended_z_tensor, random_symmetric_tensor
+from helpers import (
+    random_extended_z_tensor,
+    random_symmetric_tensor,
+    reference_pure_power_rows,
+)
 
 
 def poly_tensor(degree, dim, terms):
     return from_polynomial(HomogeneousPolynomial(degree, dim, terms))
+
+
+@pytest.mark.parametrize("dim,order", [(1, 2), (2, 4), (3, 4), (4, 4), (2, 6), (3, 6), (5, 4)])
+def test_pure_power_rows_match_scan(dim, order):
+    system = gram_system(dim, order)
+    got = _pure_power_rows(system, order)
+    ref = reference_pure_power_rows(system, order)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
 
 
 class TestMinEigenvalue:

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from sostensor import generators
 from sostensor.structured import (
+    CAUCHY_RTOL,
     ClassificationError,
     b0_split,
     cauchy_cp_approx,
+    cauchy_generator,
     cauchy_is_psd,
     cauchy_tensor,
     classify,
@@ -542,6 +544,69 @@ class TestCauchy:
     def test_cp_rejects_nonpositive(self):
         with pytest.raises(ClassificationError):
             cauchy_cp_approx([0.0, 1.0], 4, 10)
+
+
+class TestCauchyVerdict:
+    @pytest.mark.parametrize("order,c", [
+        (2, [0.7]),
+        (4, [0.5, 1.3, 2.2]),
+        (6, [0.25, 2.4]),
+        (3, [0.4, 1.9, 1.1]),
+    ])
+    def test_positive_generator(self, order, c):
+        A = cauchy_tensor(c, order)
+        assert cauchy_generator(A.to_polynomial()) == pytest.approx(c, rel=1e-13)
+        v = classify(A).verdicts["cauchy"]
+        assert v.holds is True and v.note == ""
+        assert v.witness["c"] == pytest.approx(c, rel=1e-13)
+
+    def test_rational_generator_is_exact(self):
+        c = [Fraction(1, 3), Fraction(5, 2), 1]
+        A = cauchy_tensor(c, 4)
+        got = cauchy_generator(A.to_polynomial())
+        assert got == tuple(Fraction(v) for v in c)
+        assert all(type(v) is Fraction for v in got)
+        v = classify(A).verdicts["cauchy"]
+        assert v.holds is True
+        assert v.witness == {"c": ["1/3", "5/2", "1"]}
+
+    def test_non_positive_generator(self):
+        c = [-1, 2.5, 3.1]
+        A = cauchy_tensor(c, 4)
+        assert cauchy_generator(A.to_polynomial()) is None
+        assert cauchy_generator(A.to_polynomial(), positive=False) == pytest.approx(c, rel=1e-13)
+        v = classify(A).verdicts["cauchy"]
+        assert v.holds is False
+        assert v.note == "non-positive generator"
+        assert v.witness["c"] == pytest.approx(c, rel=1e-13)
+
+    @pytest.mark.parametrize("idx", [(0, 1, 1, 2), (0, 0, 0, 0), (2, 2, 2, 2), (0, 0, 1, 1)])
+    def test_one_entry_off(self, idx):
+        A = cauchy_tensor([0.5, 1.0, 1.7], 4)
+        B = SymmetricTensor(4, 3, {**A.entries, idx: A.entries[idx] + 1e-3})
+        assert cauchy_generator(B.to_polynomial(), positive=False) is None
+        v = classify(B).verdicts["cauchy"]
+        assert v.holds is False and v.witness is None
+
+    def test_relative_tolerance(self):
+        A = cauchy_tensor([0.5, 1.0, 1.7], 4)
+        idx = (0, 1, 1, 2)
+        for rel, hit in ((0.1 * CAUCHY_RTOL, True), (10 * CAUCHY_RTOL, False)):
+            B = SymmetricTensor(4, 3, {**A.entries, idx: A.entries[idx] * (1 + rel)})
+            assert (cauchy_generator(B.to_polynomial()) is not None) is hit
+
+    def test_all_one_is_cauchy(self):
+        # 1 = 1 / (m * (1/m)): the all-one tensor has generator (1/m, ..., 1/m)
+        assert cauchy_generator(all_one_tensor(4, 3).to_polynomial()) == (Fraction(1, 4),) * 3
+
+    @pytest.mark.parametrize("A", [
+        identity_tensor(4, 3),             # missing monomials
+        random_symmetric_tensor(np.random.default_rng(3), 4, 3, density=1.0),
+        SymmetricTensor(4, 2, {}),         # zero tensor
+    ])
+    def test_not_cauchy(self, A):
+        assert cauchy_generator(A.to_polynomial(), positive=False) is None
+        assert classify(A).verdicts["cauchy"].holds is False
 
 
 class TestClassifyReport:

@@ -110,6 +110,27 @@ class TestPolynomialBridge:
         with pytest.raises(TensorError):
             HomogeneousPolynomial(4, 2, {(3, 0): 1})
 
+    @pytest.mark.parametrize("alpha", [
+        (5, -1),                   # negative, int tuple
+        (np.int64(5), np.int64(-1)),
+        (2.5, 1.5),                # non-integer
+        (4.5, -0.5),               # non-integer, truncates to (4, 0)
+        (3, 0),                    # wrong degree, int tuple
+        (2.0, 1.0),                # wrong degree, integral floats
+        (4,),                      # wrong length
+        (1, 1, 2),
+    ])
+    def test_bad_exponents_rejected(self, alpha):
+        with pytest.raises(TensorError):
+            HomogeneousPolynomial(4, 2, {alpha: 1})
+
+    @pytest.mark.parametrize("alpha", [(2, 2), (np.int64(2), 2), (2.0, 2.0), (Fraction(2), 2)])
+    def test_exponents_stored_as_int_tuples(self, alpha):
+        f = HomogeneousPolynomial(4, 2, {alpha: 3})
+        (key,) = f.terms
+        assert key == (2, 2) and type(key) is tuple
+        assert all(type(e) is int for e in key)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(TensorError, match="non-finite"):
