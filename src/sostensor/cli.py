@@ -325,7 +325,8 @@ def _cmd_repro(args) -> int:
             f"correctness={payload['correctness']:.1f}%",
             args.out,
         )
-    return EXIT_OK
+    # a wrong or inconclusive verdict means the harness was not reproduced
+    return EXIT_OK if correct == count else EXIT_INCONCLUSIVE
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -454,6 +454,17 @@ def cauchy_gram(c: Sequence[float], basis: MonomialBasis) -> np.ndarray:
 # sampling for negative points (infeasibility witnesses)
 
 
+def _unit_power_scale(f: HomogeneousPolynomial) -> np.ndarray:
+    """d with d_i = a_i^(1/m) for the coefficient a_i of x_i^m, 1 where a_i <= 0.
+
+    In the variables y = d * x every positive pure power of f is 1.
+    """
+    pure = np.array([float(f.diagonal_coefficient(i)) for i in range(f.dim)])
+    d = np.ones(f.dim)
+    d[pure > 0] = pure[pure > 0] ** (1.0 / f.degree)
+    return d
+
+
 def _negative_point_scan(
     f: HomogeneousPolynomial,
     seed: int,
@@ -464,15 +475,25 @@ def _negative_point_scan(
     """Cheap multistart descent looking for a strictly negative value.
 
     Success proves the form is not PSD (hence not SOS); failure proves
-    nothing.  Points are normalized to the unit m-norm sphere.
+    nothing.  The scan runs on g(y) = f(y / d) with d from
+    `_unit_power_scale`, cut at threshold * (1 + max |coefficient of g|):
+    in f's own units one huge pure power would push the cut below the
+    form's whole negative range.  A hit y maps back to x = y / d,
+    normalized to the unit m-norm sphere, where f(x) = g(y) / ||y / d||_m^m.
     """
-    scale = 1.0 + f.max_abs_coefficient()
-    cut = threshold * scale
+    m = f.degree
+    d = _unit_power_scale(f)
+    exps = np.array(list(f.terms), dtype=float).reshape(len(f.terms), f.dim)
+    coeffs = np.array([float(c) for c in f.terms.values()]) / np.prod(d ** exps, axis=1)
+    g = HomogeneousPolynomial(m, f.dim, dict(zip(f.terms, coeffs.tolist())))
+    cut = threshold * (1.0 + g.max_abs_coefficient())
     res = sphere_minimize(
-        f, seed=seed, restarts=restarts, iters=iters, stop_below=cut
+        g, seed=seed, restarts=restarts, iters=iters, stop_below=cut
     )
     if res.value < cut:
-        return res.point, res.value
+        x = res.point / d
+        norm_m = float(np.sum(np.abs(x) ** m))
+        return x / norm_m ** (1.0 / m), res.value / norm_m
     return None
 
 
@@ -620,7 +641,7 @@ def certify_sos(
     use_blocks = False
     blocks = None
     if opts.blockwise in ("auto", "on"):
-        ext = detect_extended_z(A)
+        ext = detect_extended_z(A, f)
         if ext.holds and len(ext.blocks) >= 2:
             use_blocks = True
             blocks = ext.blocks
@@ -655,9 +676,7 @@ class _Scaling:
 
     @staticmethod
     def of(f: HomogeneousPolynomial, system: GramSystem) -> "_Scaling":
-        pure = np.array([float(f.diagonal_coefficient(i)) for i in range(f.dim)])
-        d = np.ones(f.dim)
-        d[pure > 0] = pure[pure > 0] ** (1.0 / f.degree)
+        d = _unit_power_scale(f)
         alpha_scale = np.prod(d ** np.array(system.alphas), axis=1)
         basis_scale = np.prod(d ** np.array(system.basis.exponents), axis=1)
         rhs_f = system.rhs(f)

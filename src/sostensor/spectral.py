@@ -9,15 +9,18 @@ optimal value of
 Since f - r ||x||_m^m is homogeneous and the leftover constant is r - mu, the
 program reduces to maximizing r subject to f - r sum x_i^m being a sum of
 squares (whence mu* = r*).  Disjoint variable blocks decouple: the overall
-value is the minimum of the per-block values, each of which is either a
-closed-form critical-coefficient computation (blocks with one mixed term) or
-a small Gram-matrix semidefinite program solved by certified bisection on r.
+value is the minimum of the per-block values, each of which is a
+closed-form critical-coefficient computation (blocks with one mixed term),
+a power-method sandwich (blocks whose mixed terms are all nonpositive, see
+`_z_sandwich`), or a small Gram-matrix semidefinite program solved by
+certified bisection on r.
 
 Every reported value is a sound lower bound on the true minimum eigenvalue:
 it is the maximum of the diagonal-dominance (Gershgorin) bound and the best
-r carrying a verified Gram certificate, minus that certificate's coefficient
-defect.  For extended-Z tensors the program value equals the eigenvalue, so
-the report is exact up to the requested tolerance.
+r carrying a certificate: a verified Gram matrix, minus its coefficient
+defect, or a scaling that makes f - r sum x_i^m diagonally dominated.  For
+extended-Z tensors the program value equals the eigenvalue, so the report
+is exact up to the requested tolerance.
 """
 
 from __future__ import annotations
@@ -29,14 +32,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import sdp
-from .descent import sphere_minimize
+from .descent import FormEvaluator, sphere_minimize
 from .sos import (
     _constraint_values,
     gershgorin_lower_bound,
     gram_system,
     max_diagonal_shift_single_term,
 )
-from .structured import ExtendedZBlock, detect_extended_z
+from .structured import detect_extended_z
 from .tensor import (
     HomogeneousPolynomial,
     SymmetricTensor,
@@ -69,15 +72,13 @@ class EigMinOptions:
 class BlockValue:
     variables: Tuple[int, ...]
     value: float
-    method: str  # closed_form | diagonal | sdp
+    method: str  # closed_form | diagonal | z_sandwich | sdp
     status: str  # optimal | inconclusive
 
 
 @dataclass
 class EigMinResult:
     lambda_min: float
-    mu: float
-    r: float
     blockwise: bool
     per_block: Optional[List[BlockValue]]
     solver_status: str
@@ -91,8 +92,6 @@ class EigMinResult:
     def to_dict(self) -> dict:
         return {
             "lambda_min": self.lambda_min,
-            "mu": self.mu,
-            "r": self.r,
             "blockwise": self.blockwise,
             "per_block": [
                 {
@@ -246,17 +245,87 @@ def _single_term_value(f: HomogeneousPolynomial) -> Optional[float]:
     return max_diagonal_shift_single_term(diag, alpha, float(coeff))
 
 
-def _block_value(
-    f_block: HomogeneousPolynomial, tag: str, opts: EigMinOptions
-) -> BlockValue:
-    variables = tuple(range(f_block.dim))
+# iteration cap of the Z-form sandwich; past it the SDP decides the value
+Z_SANDWICH_MAX_ITER = 1000
+
+
+def _z_sandwich(f: HomogeneousPolynomial, opts: EigMinOptions) -> Optional[float]:
+    """Certified minimum of a Z-form over the sphere, or None to fall back.
+
+    A Z-form has no positive mixed coefficient, so its tensor A has no
+    positive off-diagonal entry.  For any u > 0 let g = A u^(m-1) and
+    t = min_i g_i / u_i^(m-1).  Then B = A - t I is a Z-tensor with
+    B u^(m-1) >= 0, and C = B scaled by D = diag(u) on every mode (entries
+    b[i1..im] u_i1 ... u_im) has row sums u_i (B u^(m-1))_i >= 0 and
+    nonpositive off-diagonal entries, so it is diagonally dominated.  An
+    even-order diagonally dominated tensor is SOS (Qi 2005, the paper's
+    weakly-diagonally-dominated class), and SOS-ness survives the change of
+    variables x = D y, so f - t ||x||_m^m is SOS: t is feasible for the
+    program and below the minimum.  Any u is a point of the sphere after
+    scaling, so the Rayleigh quotient u.g / sum u_i^m is above the minimum.
+
+    The shifted power method of Ng, Qi & Zhou (2009) drives both bounds to
+    the minimum: u <- (c u^[m-1] - g)^[1/(m-1)] with c the largest diagonal
+    coefficient plus the largest row off-sum, which keeps u > 0 and the
+    shifted tensor c I - A nonnegative with a positive diagonal.  Each lower
+    bound is lowered by the rounding of its float row sum: at most gamma_k
+    times the row's absolute sum |A| u^(m-1), with k covering the products'
+    factors and the row's summands (Higham 2002, section 3.1).  The bound
+    is returned once the gap is at most the tolerance in f's units.  On a
+    reducible form (decoupled components, which only `blockwise="off"`
+    sends here) u may underflow toward a Perron vector with zero entries,
+    or the Rayleigh quotient may weigh two components and close slowly; a
+    u that is no longer positive and finite, or the cap, returns None.
+    """
+    n, m = f.dim, f.degree
+    mixed = f.mixed_terms()
+    diag = np.array([float(f.diagonal_coefficient(i)) for i in range(n)])
+    exps = np.array(list(mixed), dtype=float)
+    offsum = np.abs(np.array([float(c) for c in mixed.values()])) @ exps / m
+    c = float(np.max(diag) + np.max(offsum))
+    tol = max(opts.tol, 1e-14 * f.max_abs_coefficient())
+    slack = 2.0 * m * (len(f.terms) + 2) * np.finfo(float).eps
+    ev = FormEvaluator(f)
+    u = np.ones(n)
+    lo, hi = -math.inf, math.inf
+    with np.errstate(all="ignore"):
+        for _ in range(Z_SANDWICH_MAX_ITER):
+            g = ev._gradient(u[None, :])[0] / m
+            up = u ** (m - 1)
+            # |A| u^(m-1): the pure power's term plus the off-diagonal part,
+            # which is nonpositive and equals g minus that term
+            absrow = np.abs(diag) * up + np.abs(diag * up - g)
+            lo = max(lo, float(np.min((g - slack * absrow) / up)))
+            hi = min(hi, float(u @ g) / float(np.sum(u ** m)))
+            if hi - lo <= tol:
+                return lo
+            u = (c * up - g) ** (1.0 / (m - 1))
+            u /= np.max(u)
+            if not (np.all(np.isfinite(u)) and np.all(u ** (m - 1) > 0)):
+                return None
+    return None
+
+
+def _form_value(
+    f: HomogeneousPolynomial, opts: EigMinOptions
+) -> Tuple[float, str, str]:
+    """Certified minimum of f over the sphere: value, method and status.
+
+    With closed forms enabled, a form with at most one mixed term takes its
+    closed form and a Z-form its sandwich; the Gram SDP takes the rest and
+    any sandwich that did not close.
+    """
     if opts.use_closed_form:
-        closed = _single_term_value(f_block)
+        mixed = f.mixed_terms()
+        closed = _single_term_value(f)
         if closed is not None:
-            method = "diagonal" if not f_block.mixed_terms() else "closed_form"
-            return BlockValue(variables, closed, method, "optimal")
-    value, status = _max_shift_sdp(f_block, opts)
-    return BlockValue(variables, value, "sdp", status)
+            return closed, "closed_form" if mixed else "diagonal", "optimal"
+        if all(c <= 0 for c in mixed.values()):
+            lo = _z_sandwich(f, opts)
+            if lo is not None:
+                return lo, "z_sandwich", "optimal"
+    value, status = _max_shift_sdp(f, opts)
+    return value, "sdp", status
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +333,9 @@ def _block_value(
 
 
 def min_h_eigenvalue(
-    A: SymmetricTensor, options: Optional[EigMinOptions] = None
+    A: SymmetricTensor,
+    options: Optional[EigMinOptions] = None,
+    form: Optional[HomogeneousPolynomial] = None,
 ) -> EigMinResult:
     """Minimum H-eigenvalue through the sum-of-squares program.
 
@@ -272,14 +343,15 @@ def min_h_eigenvalue(
     decouple the program into per-block subproblems sharing the scalar shift;
     the overall value is the minimum of the block values.  For tensors
     without extended-Z structure the value is still a valid lower bound on
-    the minimum H-eigenvalue and is flagged `lower_bound_only`.
+    the minimum H-eigenvalue and is flagged `lower_bound_only`.  `form` is
+    A's induced form when the caller has already built it.
     """
     opts = options or EigMinOptions()
     if A.order % 2 != 0:
         raise SpectralError("minimum H-eigenvalue program needs even order")
-    f = A.to_polynomial()
+    f = A.to_polynomial() if form is None else form
     g = gershgorin_lower_bound(A)
-    ext = detect_extended_z(A)
+    ext = detect_extended_z(A, f)
 
     use_blocks = ext.holds and (
         opts.blockwise == "on" or (opts.blockwise == "auto" and len(ext.blocks) >= 2)
@@ -288,11 +360,8 @@ def min_h_eigenvalue(
     if use_blocks:
         per_block = []
         for block in ext.blocks:
-            sub = f.restrict(block.variables)
-            bv = _block_value(sub, block.tag, opts)
-            per_block.append(
-                BlockValue(block.variables, bv.value, bv.method, bv.status)
-            )
+            value, method, status = _form_value(f.restrict(block.variables), opts)
+            per_block.append(BlockValue(block.variables, value, method, status))
         lam = min(b.value for b in per_block)
         status = (
             "optimal"
@@ -300,20 +369,11 @@ def min_h_eigenvalue(
             else "inconclusive"
         )
     else:
-        if opts.use_closed_form:
-            closed = _single_term_value(f)
-        else:
-            closed = None
-        if closed is not None:
-            lam, status = closed, "optimal"
-        else:
-            lam, status = _max_shift_sdp(f, opts)
+        lam, _, status = _form_value(f, opts)
 
     lam = max(lam, g)
     result = EigMinResult(
         lambda_min=lam,
-        mu=lam,
-        r=lam,
         blockwise=use_blocks,
         per_block=per_block,
         solver_status=status,
@@ -366,14 +426,14 @@ def is_positive_definite(
     unless a strictly negative evaluation point is in hand.
     """
     opts = options or EigMinOptions()
-    res = min_h_eigenvalue(A, opts)
+    f = A.to_polynomial()
+    res = min_h_eigenvalue(A, opts, f)
     scale = 1.0 + max(abs(res.lambda_min), abs(res.gershgorin))
     if res.lambda_min > PD_TOL:
         return PdResult(True, res.lambda_min, res)
     if res.exact and res.solver_status == "optimal" and res.lambda_min < -PD_TOL:
         return PdResult(False, res.lambda_min, res)
     # look for an explicit negative point
-    f = A.to_polynomial()
     hit = sphere_minimize(
         f,
         seed=opts.seed + 3,

@@ -631,7 +631,9 @@ class ExtendedZResult:
         return [b.variables for b in self.blocks]
 
 
-def detect_extended_z(A: SymmetricTensor) -> ExtendedZResult:
+def detect_extended_z(
+    A: SymmetricTensor, form: Optional[HomogeneousPolynomial] = None
+) -> ExtendedZResult:
     """Decide extended-Z structure and return the variable partition.
 
     Variables are joined whenever they co-occur in a mixed term; the
@@ -639,12 +641,13 @@ def detect_extended_z(A: SymmetricTensor) -> ExtendedZResult:
     any valid partition splits into unions of components blockwise, so
     checking components decides membership.  Each block must either carry at
     most one nonzero mixed term or carry only nonpositive mixed terms.
-    Variables appearing in no mixed term stay as singleton blocks.
+    Variables appearing in no mixed term stay as singleton blocks.  `form`
+    is A's induced form when the caller has already built it.
     """
     if A.order % 2 != 0:
         raise ClassificationError("extended-Z detection requires even order")
     n = A.dim
-    mixed = A.to_polynomial().mixed_terms()
+    mixed = (A.to_polynomial() if form is None else form).mixed_terms()
 
     parent = list(range(n))
 
@@ -869,6 +872,7 @@ def classify(A: SymmetricTensor, tol: float = BOUNDARY_TOL) -> ClassificationRep
     """
     report = ClassificationReport(A.order, A.dim)
     even = A.order % 2 == 0
+    f = A.to_polynomial()
 
     dom = is_diagonally_dominated(A, tol)
     report.verdicts["diagonally_dominated"] = ClassVerdict(
@@ -887,7 +891,7 @@ def classify(A: SymmetricTensor, tol: float = BOUNDARY_TOL) -> ClassificationRep
     )
 
     if even:
-        ext = detect_extended_z(A)
+        ext = detect_extended_z(A, f)
         report.verdicts["extended_z"] = ClassVerdict(
             ext.holds,
             False,
@@ -943,7 +947,7 @@ def classify(A: SymmetricTensor, tol: float = BOUNDARY_TOL) -> ClassificationRep
         )
         report.verdicts["h_tensor_nonsingular"] = ClassVerdict(None, True)
 
-    c = cauchy_generator(A.to_polynomial(), positive=False)
+    c = cauchy_generator(f, positive=False)
     if c is None:
         report.verdicts["cauchy"] = ClassVerdict(False)
     else:

@@ -260,6 +260,22 @@ class TestCliCommands:
         assert payload["instances"] == 4
         assert payload["correctness"] == 100.0
 
+    @pytest.mark.parametrize("verdict", [lambda v: not v, lambda v: None])
+    def test_repro_pd_suite_fails_on_wrong_verdict(self, capsys, monkeypatch, verdict):
+        from sostensor import spectral
+
+        decide = spectral.is_positive_definite
+
+        def overridden(A, options=None):
+            res = decide(A, options)
+            res.verdict = verdict(res.verdict)
+            return res
+
+        monkeypatch.setattr(spectral, "is_positive_definite", overridden)
+        args = ["repro", "--suite", "pd-test", "--count", "2", "--seed", "7"]
+        assert main(args) == EXIT_INCONCLUSIVE
+        assert "correctness=0.0%" in capsys.readouterr().out
+
     def test_repro_pd_suite_deterministic(self, capsys):
         main(["repro", "--suite", "pd-test", "--count", "3", "--seed", "11",
               "--format", "json"])

@@ -686,6 +686,17 @@ class TestScaledCertificate:
         res = certify_sos(from_polynomial(f))
         assert isinstance(res, NotCertified)
 
+    def test_scan_finds_negative_point_in_scaled_variables(self):
+        # the scan runs on y1^4 + y2^4 - 6 y1^2 y2^2 (y = d * x), whose
+        # minimum -2 is far below the cut; in x the value is about -4e-6
+        f = HomogeneousPolynomial(4, 2, {(4, 0): 1e6, (0, 4): 1e-6, (2, 2): -6.0})
+        res = certify_sos(from_polynomial(f))
+        assert res.status == "not_sos"
+        x = res.witness_point
+        assert np.sum(x ** 4) == pytest.approx(1.0, rel=1e-12)
+        assert float(f.evaluate(x)) < 0
+        assert res.witness_value == pytest.approx(float(f.evaluate(x)), rel=1e-6)
+
     def test_psd_form_with_huge_pure_power_is_certified(self):
         # PSD since 1e-6 > 9 / 1e8; scaled: y1^4 + y2^4 - 0.6 y1^2 y2^2
         f = HomogeneousPolynomial(4, 2, {(4, 0): 1e8, (0, 4): 1e-6, (2, 2): -6.0})

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sostensor import generators
+from sostensor import generators, spectral
 from sostensor.sos import gershgorin_lower_bound, gram_system
 from sostensor.spectral import (
     EigMinOptions,
@@ -17,6 +17,7 @@ from sostensor.spectral import (
 from sostensor.structured import detect_extended_z
 from sostensor.tensor import (
     HomogeneousPolynomial,
+    SymmetricTensor,
     eigen_residual,
     from_polynomial,
     identity_tensor,
@@ -48,7 +49,7 @@ class TestMinEigenvalue:
         assert res.lambda_min == pytest.approx(-1.0, abs=1e-4)
         assert res.exact
         assert res.solver_status == "optimal"
-        assert res.r >= res.mu
+        assert res.to_dict()["lambda_min"] == res.lambda_min
 
     def test_two_parameter_family(self):
         res = min_h_eigenvalue(generators.example52(5.0, 0.0))
@@ -131,6 +132,99 @@ class TestMinEigenvalue:
         a = min_h_eigenvalue(A, EigMinOptions(seed=seed)).lambda_min
         b = min_h_eigenvalue(A.shift_diagonal(c), EigMinOptions(seed=seed)).lambda_min
         assert b == pytest.approx(a + c, abs=1e-5 * (1 + abs(a) + abs(c)))
+
+
+def random_z_tensor(rng, order, dim):
+    """Pure powers in [-1, 2] and two to six negative mixed entries (at most
+    as many as there are mixed positions)."""
+    from itertools import combinations_with_replacement
+
+    entries = {(i,) * order: float(rng.uniform(-1.0, 2.0)) for i in range(dim)}
+    mixed = [
+        idx for idx in combinations_with_replacement(range(dim), order)
+        if len(set(idx)) > 1
+    ]
+    count = min(len(mixed), int(rng.integers(2, 7)))
+    picks = rng.choice(len(mixed), size=count, replace=False)
+    for j in picks:
+        entries[mixed[j]] = -float(rng.uniform(0.0, 1.0))
+    return SymmetricTensor(order, dim, entries)
+
+
+def z_blocks(seeds):
+    """The all-nonpositive blocks of Procedure-1 instances, as forms."""
+    out = []
+    for seed in seeds:
+        A = generate_procedure1(4, 20, 4, 5, 100.0, seed=seed).tensor
+        f = A.to_polynomial()
+        for block in detect_extended_z(A).blocks:
+            if block.tag == "all_nonpositive":
+                out.append(f.restrict(block.variables))
+    return out
+
+
+class TestZSandwich:
+    def test_never_above_the_minimum(self):
+        rng = np.random.default_rng(2009)
+        for i in range(50):
+            order, dim = (4, 6)[i % 2], int(rng.integers(2, 5))
+            A = random_z_tensor(rng, order, dim)
+            f = A.to_polynomial()
+            value, method, status = spectral._form_value(f, EigMinOptions())
+            val, _ = brute_force_min(A, seed=i)
+            assert (method, status) == ("z_sandwich", "optimal")
+            assert value <= val + 1e-12 * (1 + abs(val))
+            assert val - value <= 1e-5
+
+    def test_agrees_with_sdp_route(self):
+        opts = EigMinOptions(tol=1e-4)
+        sdp_opts = EigMinOptions(tol=1e-4, use_closed_form=False)
+        for f in z_blocks(range(31_000, 31_003)):
+            value, method, _ = spectral._form_value(f, opts)
+            sdp_value, sdp_method, status = spectral._form_value(f, sdp_opts)
+            assert (method, sdp_method, status) == ("z_sandwich", "sdp", "optimal")
+            assert abs(value - sdp_value) <= opts.tol
+
+    def test_capped_iteration_falls_back_to_sdp(self, monkeypatch):
+        f = z_blocks([31_000])[0]
+        sdp_value, _, _ = spectral._form_value(f, EigMinOptions(use_closed_form=False))
+        monkeypatch.setattr(spectral, "Z_SANDWICH_MAX_ITER", 1)
+        assert spectral._z_sandwich(f, EigMinOptions()) is None
+        assert spectral._form_value(f, EigMinOptions()) == (sdp_value, "sdp", "optimal")
+
+    def test_reducible_form_falls_back_to_sdp(self):
+        # two decoupled components whose minima differ by 1e-3: the
+        # Rayleigh quotient weighs both and closes too slowly for the cap
+        A = poly_tensor(4, 4, {
+            (4, 0, 0, 0): 1, (0, 4, 0, 0): 1, (2, 2, 0, 0): -1.0,
+            (0, 0, 4, 0): 1, (0, 0, 0, 4): 1, (0, 0, 2, 2): -1.002,
+        })
+        assert spectral._z_sandwich(A.to_polynomial(), EigMinOptions()) is None
+        got = min_h_eigenvalue(A, EigMinOptions(blockwise="off"))
+        sdp = min_h_eigenvalue(A, EigMinOptions(blockwise="off", use_closed_form=False))
+        assert got.lambda_min == sdp.lambda_min
+        assert got.solver_status == sdp.solver_status
+
+    def test_single_block_takes_sandwich_in_auto_mode(self, monkeypatch):
+        f = z_blocks([31_000])[0]
+        A = from_polynomial(f)
+        assert len(detect_extended_z(A).blocks) == 1
+
+        def no_sdp(*args):
+            raise AssertionError("the Gram SDP ran")
+
+        monkeypatch.setattr(spectral, "_max_shift_sdp", no_sdp)
+        res = min_h_eigenvalue(A)
+        assert not res.blockwise and res.solver_status == "optimal"
+        val, _ = brute_force_min(A, seed=3)
+        assert val - 1e-6 <= res.lambda_min <= val + 1e-12 * abs(val)
+
+    def test_method_reported_per_block(self):
+        A = generate_procedure1(4, 20, 4, 5, 100.0, seed=31_000).tensor
+        res = min_h_eigenvalue(A, EigMinOptions(tol=1e-4))
+        methods = [b["method"] for b in res.to_dict()["per_block"]]
+        assert methods.count("z_sandwich") == 1
+        assert set(methods) <= {"diagonal", "closed_form", "z_sandwich"}
 
 
 class TestPositiveDefinite:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sostensor import generators
+from sostensor import generators, sos, spectral
 from sostensor.structured import (
     CAUCHY_RTOL,
     ClassificationError,
@@ -477,6 +477,33 @@ class TestExtendedZ:
             }
             A = SymmetricTensor(4, 3, entries)
             assert detect_extended_z(A).holds
+
+    def test_form_passed_in_gives_the_same_result(self):
+        rng = np.random.default_rng(8)
+        from helpers import random_extended_z_tensor
+
+        for _ in range(10):
+            A = random_extended_z_tensor(rng, 4, 5)
+            assert detect_extended_z(A, A.to_polynomial()) == detect_extended_z(A)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [spectral.is_positive_definite, spectral.min_h_eigenvalue, sos.certify_sos],
+    ids=lambda fn: fn.__name__,
+)
+def test_callers_convert_the_tensor_once(monkeypatch, entry):
+    A = spectral.generate_procedure1(4, 8, 2, 4, 100.0, seed=5).tensor
+    convert = SymmetricTensor.to_polynomial
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        return convert(self)
+
+    monkeypatch.setattr(SymmetricTensor, "to_polynomial", counted)
+    entry(A)
+    assert calls == [A]
 
 
 class TestCauchy:
