@@ -26,7 +26,13 @@ import numpy as np
 
 from . import sdp
 from .descent import sphere_minimize
-from .structured import cauchy_generator, delta_index_set, detect_extended_z, row_tables
+from .structured import (
+    CAUCHY_RTOL,
+    cauchy_generator,
+    delta_index_set,
+    detect_extended_z,
+    row_tables,
+)
 from .tensor import (
     Exponent,
     HomogeneousPolynomial,
@@ -465,12 +471,36 @@ def _unit_power_scale(f: HomogeneousPolynomial) -> np.ndarray:
     return d
 
 
+def _weak_offsum(exps: np.ndarray, coeffs: np.ndarray, m: int) -> np.ndarray:
+    """w_i = sum of |b_alpha| * alpha_i / m over the mixed terms b x^alpha,
+    leaving out those with b > 0 and every alpha_i even.
+
+    `exps` holds one exponent vector per row and `coeffs` the matching
+    coefficients.  Of a tensor's induced form, this is
+    `row_tables(A).weak_offsum`.
+    """
+    mixed = exps.max(axis=1) < m
+    signed = (coeffs < 0) | np.any(exps % 2 == 1, axis=1)
+    return exps.T @ np.where(mixed & signed, np.abs(coeffs), 0.0) / m
+
+
+def _dominance_margin(exps: np.ndarray, coeffs: np.ndarray, m: int) -> float:
+    """min_i (a_i - w_i), a lower bound of the form on the unit m-norm sphere.
+
+    a_i is the coefficient of x_i^m and w_i comes from `_weak_offsum`.
+    """
+    pure = exps.max(axis=1) == m
+    a = exps.T @ np.where(pure, coeffs, 0.0) / m
+    return float(np.min(a - _weak_offsum(exps, coeffs, m)))
+
+
 def _negative_point_scan(
     f: HomogeneousPolynomial,
     seed: int,
     restarts: int = 40,
     iters: int = 200,
     threshold: float = -1e-9,
+    cauchy: bool = False,
 ) -> Optional[Tuple[np.ndarray, float]]:
     """Cheap multistart descent looking for a strictly negative value.
 
@@ -480,13 +510,37 @@ def _negative_point_scan(
     in f's own units one huge pure power would push the cut below the
     form's whole negative range.  A hit y maps back to x = y / d,
     normalized to the unit m-norm sphere, where f(x) = g(y) / ||y / d||_m^m.
+
+    The descent is skipped, and None returned, when a lower bound proves
+    that no point of the sphere lies below the cut:
+
+    - Weak diagonal dominance.  Every mixed term b x^alpha with b > 0 and
+      all alpha_i even is nonnegative.  For any other, weighted AM-GM gives
+      |x^alpha| <= sum_i (alpha_i / m) x_i^m (m is even), so
+      f(x) >= sum_i (a_i - w_i) x_i^m >= min_i (a_i - w_i) on the sphere,
+      with a_i the coefficient of x_i^m and w_i from `_weak_offsum`.  The
+      scan is skipped when that minimum is >= 0 for f or for g; either makes
+      f, and with it g, nonnegative everywhere.
+    - `cauchy`: f was accepted by `cauchy_generator`, so each coefficient is
+      within a relative CAUCHY_RTOL of a positive Cauchy form's, which is
+      PSD.  On the sphere every |y^alpha| <= 1, so
+      g >= -CAUCHY_RTOL / (1 - CAUCHY_RTOL) * sum |g_alpha|; the scan is
+      skipped when that is above the cut.
+
+    Rounding in either bound is far below the cut's 1e-9 relative margin,
+    so a skipped scan is one that would have returned None.
     """
     m = f.degree
     d = _unit_power_scale(f)
     exps = np.array(list(f.terms), dtype=float).reshape(len(f.terms), f.dim)
-    coeffs = np.array([float(c) for c in f.terms.values()]) / np.prod(d ** exps, axis=1)
+    coeffs_f = np.array([float(c) for c in f.terms.values()])
+    coeffs = coeffs_f / np.prod(d ** exps, axis=1)
+    cut = threshold * (1.0 + float(np.max(np.abs(coeffs), initial=0.0)))
+    if max(_dominance_margin(exps, coeffs_f, m), _dominance_margin(exps, coeffs, m)) >= 0:
+        return None
+    if cauchy and -CAUCHY_RTOL / (1.0 - CAUCHY_RTOL) * np.sum(np.abs(coeffs)) > cut:
+        return None
     g = HomogeneousPolynomial(m, f.dim, dict(zip(f.terms, coeffs.tolist())))
-    cut = threshold * (1.0 + g.max_abs_coefficient())
     res = sphere_minimize(
         g, seed=seed, restarts=restarts, iters=iters, stop_below=cut
     )
@@ -626,9 +680,10 @@ def certify_sos(
     if A.order % 2 != 0:
         raise SosError("sum-of-squares certification needs even order")
     f = A.to_polynomial()
+    c = cauchy_generator(f)
 
     if opts.point_scan:
-        hit = _negative_point_scan(f, opts.seed)
+        hit = _negative_point_scan(f, opts.seed, cauchy=c is not None)
         if hit is not None:
             x, val = hit
             return NotCertified(
@@ -651,7 +706,7 @@ def certify_sos(
 
     if use_blocks and blocks is not None:
         return _certify_blockwise(A, f, blocks, opts)
-    return _certify_monolithic(f, opts)
+    return _certify_monolithic(f, opts, c)
 
 
 @dataclass(frozen=True)
@@ -693,12 +748,15 @@ class _Scaling:
 
 
 def _certify_monolithic(
-    f: HomogeneousPolynomial, opts: CertifyOptions
+    f: HomogeneousPolynomial,
+    opts: CertifyOptions,
+    c: Optional[Tuple[Number, ...]],
 ) -> Union[SosCertificate, NotCertified]:
     """Certify f with one Gram matrix over the full half-degree basis.
 
     Diagonal forms take an exact diagonal Gram matrix, and positive Cauchy
-    forms their closed-form one.  Otherwise the Gram SDP of the scaled form
+    forms (generator c from `cauchy_generator(f)`, None for any other form)
+    their closed-form one.  Otherwise the Gram SDP of the scaled form
     g (see `_Scaling`), divided by its largest coefficient, is solved until
     its residual is half the certificate tolerance of both g and f.
     Whatever matrix is proposed without Farkas evidence is finished and
@@ -735,7 +793,6 @@ def _certify_monolithic(
         )
 
     scaling = _Scaling.of(f, system)
-    c = cauchy_generator(f)
     if c is not None:
         s = scaling.basis_scale
         Q = cauchy_gram(c, system.basis) / np.outer(s, s)
@@ -783,7 +840,9 @@ def _certify_monolithic(
             if isinstance(finished, SosCertificate):
                 return finished
 
-    deeper = _negative_point_scan(f, opts.seed + 1, restarts=120, iters=400)
+    deeper = _negative_point_scan(
+        f, opts.seed + 1, restarts=120, iters=400, cauchy=c is not None
+    )
     if deeper is not None:
         x, val = deeper
         return NotCertified(
@@ -901,7 +960,7 @@ def _certify_blockwise(
     for block in blocks:
         vars_ = list(block.variables)
         sub = f.restrict(vars_)
-        result = _certify_monolithic(sub, sub_opts)
+        result = _certify_monolithic(sub, sub_opts, cauchy_generator(sub))
         if isinstance(result, NotCertified):
             if result.witness_point is not None:
                 lifted = np.zeros(n)

@@ -423,7 +423,7 @@ def _mb0_check(
         return s * x ** (m - 1) - B.apply(x) + beta * sx
 
     scale = s + float(np.max(beta)) + 1.0
-    rho = _spectral_radius_from_apply(apply_z, n, m, scale, tol, max_iter)
+    rho, _ = _spectral_radius_from_apply(apply_z, n, m, scale, tol, max_iter)
     band = tol * (1.0 + s + abs(rho))
     mb0 = rho <= s + band
     boundary = abs(rho - s) <= band
@@ -441,8 +441,9 @@ def _spectral_radius_from_apply(
     scale: float,
     tol: float,
     max_iter: int,
-) -> float:
-    """Dominant eigenvalue of a nonnegative multilinear operator.
+) -> Tuple[float, np.ndarray]:
+    """Dominant eigenvalue of a nonnegative multilinear operator, and the
+    positive iterate x whose Collatz ratios bracketed it last.
 
     Power iteration with componentwise min/max Collatz ratios brackets the
     radius for entrywise-positive operators.  A nonnegative operator is made
@@ -453,7 +454,7 @@ def _spectral_radius_from_apply(
     """
     if n == 1:
         x = np.ones(1)
-        return float(apply_fn(x)[0])
+        return float(apply_fn(x)[0]), x
     nm1 = n ** (order - 1)
     abs_tol = max(tol * max(scale, 1.0), 1e-300)
     eps = abs_tol / (4.0 * nm1)
@@ -474,7 +475,7 @@ def _spectral_radius_from_apply(
         # a bracket within rounding of its own magnitude cannot narrow further
         if hi_best - lo_best <= max(abs_tol / 2.0, 8 * _EPS * abs(hi_best)):
             mid = 0.5 * (lo_best + hi_best)
-            return mid - 0.5 * eps * nm1
+            return mid - 0.5 * eps * nm1, x
         x = np.maximum(y, 1e-300) ** (1.0 / p)
         x = x / np.linalg.norm(x, ord=order)
     raise PowerIterationError(lo_best, hi_best, max_iter)
@@ -499,7 +500,7 @@ def spectral_radius_nonnegative(
         return 0.0
     return _spectral_radius_from_apply(
         lambda x: Z.apply(x), Z.dim, Z.order, worst, tol, max_iter
-    )
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +526,8 @@ def is_h_tensor(
     Writes the comparison tensor as s I - Z with s the largest absolute
     diagonal entry and Z nonnegative; membership holds when the spectral
     radius of Z does not exceed s (nonsingular when strictly below).  For a
-    nonsingular verdict the converged iteration vector y > 0 is verified
-    directly against the row inequalities
+    nonsingular verdict the last iterate y > 0 of that power iteration is
+    verified directly against the row inequalities
 
         |a[i..i]| y_i^{m-1} > sum over off tuples |a[i,...]| y_{i2} ... y_{im}
 
@@ -542,10 +543,9 @@ def is_h_tensor(
         rho = 0.0
         x = np.ones(n)
     else:
-        rho = _spectral_radius_from_apply(
+        rho, x = _spectral_radius_from_apply(
             lambda v: Z.apply(v), n, m, worst, min(tol, 1e-10), max_iter
         )
-        x = _perron_vector(Z, max_iter)
     band = tol * (1.0 + s + abs(rho))
     h = rho <= s + band
     nonsingular = rho < s - band
@@ -563,23 +563,6 @@ def is_h_tensor(
             nonsingular = False
             boundary = True
     return HVerdict(h, nonsingular, y, s, rho, boundary, margin)
-
-
-def _perron_vector(Z: SymmetricTensor, max_iter: int) -> np.ndarray:
-    n, m = Z.dim, Z.order
-    p = m - 1
-    worst = max((abs(float(v)) for v in Z.entries.values()), default=0.0)
-    eps = max(worst, 1.0) * 1e-12
-    x = np.full(n, n ** (-1.0 / m))
-    for _ in range(min(max_iter, 5000)):
-        y = Z.apply(x) + eps * float(np.sum(x)) ** p
-        x_new = np.maximum(y, 1e-300) ** (1.0 / p)
-        x_new /= np.linalg.norm(x_new, ord=m)
-        if np.max(np.abs(x_new - x)) < 1e-14:
-            x = x_new
-            break
-        x = x_new
-    return x
 
 
 def _verify_h_witness(

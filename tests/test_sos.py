@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sostensor import generators, sdp
+from sostensor import generators, sdp, sos
 from sostensor.sos import (
     CERTIFICATE_TOL,
     CertifyOptions,
@@ -29,7 +29,7 @@ from sostensor.sos import (
     single_term_mu0,
     sos_rank_bounds,
 )
-from sostensor.structured import cauchy_generator, cauchy_tensor
+from sostensor.structured import cauchy_generator, cauchy_tensor, row_tables
 from sostensor.tensor import (
     HomogeneousPolynomial,
     SymmetricTensor,
@@ -162,8 +162,9 @@ class TestCertify:
         f = A.to_polynomial()
         covered = np.zeros(cert.gram.shape, dtype=bool)
         for block in blocks:
+            sub = f.restrict(block.variables)
             own = _certify_monolithic(
-                f.restrict(block.variables), replace(CertifyOptions(), blockwise="off")
+                sub, replace(CertifyOptions(), blockwise="off"), cauchy_generator(sub)
             )
             lift = []
             for alpha in own.basis.exponents:
@@ -709,6 +710,113 @@ class TestScaledCertificate:
         recon = cert.reconstruction()
         for alpha, coef in f.terms.items():
             assert float(recon.coefficient(alpha)) == pytest.approx(coef, rel=1e-3)
+
+
+def _exps_coeffs(f):
+    exps = np.array(list(f.terms), dtype=float).reshape(len(f.terms), f.dim)
+    return exps, np.array([float(c) for c in f.terms.values()])
+
+
+def _near_dominance_boundary(seed, order):
+    """Random mixed terms with pure powers a_i = w_i + noise, where w_i is
+    the row's weak off-sum: the dominance margin lands on either side of 0,
+    mostly just above it."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 4))
+    terms = {}
+    for _ in range(int(rng.integers(2, 6))):
+        alpha = np.bincount(rng.integers(0, n, order), minlength=n)
+        if alpha.max() == order:
+            continue
+        c = float(rng.normal())
+        if rng.random() < 0.3:
+            alpha, c = 2 * np.bincount(rng.integers(0, n, order // 2), minlength=n), abs(c)
+            if alpha.max() == order:
+                continue
+        terms[tuple(int(e) for e in alpha)] = c
+    exps, coeffs = _exps_coeffs(HomogeneousPolynomial(order, n, terms))
+    w = sos._weak_offsum(exps, coeffs, order)
+    for i in range(n):
+        pure = tuple(order if v == i else 0 for v in range(n))
+        terms[pure] = float(w[i] + rng.uniform(-0.01, 0.05) * (1.0 + w[i]))
+    return HomogeneousPolynomial(order, n, terms)
+
+
+def _count_scans(monkeypatch):
+    calls = []
+    minimize = sos.sphere_minimize
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(sos, "sphere_minimize", counting)
+    return calls
+
+
+def _same_certificate(a, b):
+    return (
+        np.array_equal(a.gram, b.gram)
+        and [s.terms for s in a.squares] == [s.terms for s in b.squares]
+        and (a.rank_estimate, a.residual, a.block_structure)
+        == (b.rank_estimate, b.residual, b.block_structure)
+    )
+
+
+class TestScanSkip:
+    """The negative-point scan is skipped when the weak-dominance row bound
+    or the Cauchy detector proves the form nonnegative on the sphere."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.sampled_from([4, 6]))
+    def test_bound_implies_unskipped_scan_finds_nothing(self, seed, order):
+        f = _near_dominance_boundary(seed, order)
+        exps, coeffs = _exps_coeffs(f)
+        assume(sos._dominance_margin(exps, coeffs, order) >= 0)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _count_scans(mp)
+            assert sos._negative_point_scan(f, seed) is None
+            assert calls == []
+            # the same scan with the bound switched off descends and finds
+            # nothing below the cut
+            mp.setattr(sos, "_dominance_margin", lambda *args: -1.0)
+            assert sos._negative_point_scan(f, seed) is None
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("make", [
+        lambda: generators.example54(20),
+        lambda: generators.random_class_instance("weak_diag_dominated", 4, 3, 40_000),
+        lambda: generators.random_class_instance("cauchy_psd", 6, 3, 40_001),
+    ], ids=["example54", "weak_diag_dominated", "cauchy_psd"])
+    def test_no_descent_and_same_certificate(self, monkeypatch, make):
+        A = make()
+        calls = _count_scans(monkeypatch)
+        cert = certify_sos(A)
+        assert calls == []
+        unscanned = certify_sos(A, CertifyOptions(point_scan=False))
+        assert isinstance(cert, SosCertificate)
+        assert _same_certificate(cert, unscanned)
+
+    @pytest.mark.parametrize("terms", [
+        {(4, 0): 1e6, (0, 4): 1e-6, (2, 2): -6.0},
+        {(4, 0): 1.0, (0, 4): 1.0, (2, 2): -3.0},
+    ], ids=["huge_pure_power", "not_dominated"])
+    def test_indefinite_forms_keep_their_witness(self, monkeypatch, terms):
+        f = HomogeneousPolynomial(4, 2, terms)
+        calls = _count_scans(monkeypatch)
+        res = certify_sos(from_polynomial(f))
+        assert len(calls) == 1
+        assert res.status == "not_sos" and res.witness_point is not None
+        assert float(f.evaluate(res.witness_point)) < 0
+
+    @pytest.mark.parametrize("order", [4, 6])
+    def test_weak_offsum_from_the_form_matches_row_tables(self, order):
+        rng = np.random.default_rng(order)
+        for _ in range(10):
+            A = random_symmetric_tensor(rng, order, int(rng.integers(2, 5)))
+            exps, coeffs = _exps_coeffs(A.to_polynomial())
+            ref = np.array([float(v) for v in row_tables(A).weak_offsum])
+            assert np.allclose(sos._weak_offsum(exps, coeffs, order), ref, rtol=1e-12, atol=0)
 
 
 PSD_NOT_SOS = {

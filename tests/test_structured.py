@@ -427,6 +427,31 @@ class TestHTensor:
         assert v.h and v.nonsingular
         assert v.margin > 0
 
+    # nonsingular H verdicts per class over criterion 7's pool (20 rounds,
+    # class seeds 40000 + r)
+    POOL_NONSINGULAR = {
+        "cauchy_psd": 0, "weak_diag_dominated": 10, "b0": 20, "double_b": 20,
+        "quasi_double_b0": 20, "mb0": 20, "h_nonneg_diag": 20, "abs_psd_z": 20,
+        "psd_extended_z": 19,
+    }
+
+    def test_pool_witness_is_the_power_iterate(self):
+        # the witness of every nonsingular verdict is the radius iteration's
+        # last iterate (unit m-norm), never the all-one fallback
+        found = dict.fromkeys(self.POOL_NONSINGULAR, 0)
+        for name in generators.CLASS_GENERATORS:
+            for r in range(20):
+                order, dim = (4, 6)[r % 2], 2 + r % 3
+                A = generators.random_class_instance(name, order, dim, 40_000 + r)
+                v = is_h_tensor(A)
+                assert not v.boundary
+                assert v.nonsingular == v.h
+                if v.nonsingular:
+                    found[name] += 1
+                    assert v.margin > 0 and np.all(v.y > 0)
+                    assert np.sum(v.y ** order) == pytest.approx(1.0, rel=1e-9)
+        assert found == self.POOL_NONSINGULAR
+
 
 class TestExtendedZ:
     def test_example51(self):
