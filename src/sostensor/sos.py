@@ -31,7 +31,6 @@ from .structured import (
     cauchy_generator,
     delta_index_set,
     detect_extended_z,
-    row_tables,
 )
 from .tensor import (
     Exponent,
@@ -210,7 +209,12 @@ class SosCertificate:
     squares: List[HomogeneousPolynomial]
     rank_estimate: int
     residual: float
+    # route that built the Gram matrix: "diagonal", "amgm", "cauchy", "sdp",
+    # or "blockwise", with each block's route in `block_methods`, aligned
+    # with `block_structure`
+    method: str
     block_structure: Optional[List[Tuple[int, ...]]] = None
+    block_methods: Optional[List[str]] = None
 
     def reconstruction(self) -> HomogeneousPolynomial:
         """Sum of the stored squares, for external verification."""
@@ -236,9 +240,11 @@ class SosCertificate:
             ],
             "rank_estimate": self.rank_estimate,
             "residual": self.residual,
+            "method": self.method,
             "blocks": [list(b) for b in self.block_structure]
             if self.block_structure
             else None,
+            "block_methods": self.block_methods,
         }
 
 
@@ -427,18 +433,25 @@ def max_diagonal_shift_single_term(
     return min(cap, lo)
 
 
-def gershgorin_lower_bound(A: SymmetricTensor) -> float:
+def gershgorin_lower_bound(
+    A: SymmetricTensor, form: Optional[HomogeneousPolynomial] = None
+) -> float:
     """min over rows of (diagonal entry - sum of off-row absolute entries).
 
     Every H-eigenvalue is at least this value, and the shifted form
     f - bound * sum x_i^m is diagonally dominated, hence itself a sum of
-    squares for even order.
+    squares for even order.  Both row quantities are read from the induced
+    form (`form`, when the caller has built it): the diagonal entry is the
+    coefficient b of x_i^m, and row i's off-diagonal absolute entries sum to
+    sum |b_alpha| * alpha_i / m over the mixed terms b_alpha x^alpha.
     """
-    offsums = row_tables(A).absolute_offsum
-    out = math.inf
-    for i in range(A.dim):
-        out = min(out, float(A.diagonal_entry(i)) - float(offsums[i]))
-    return out if A.dim else 0.0
+    f = A.to_polynomial() if form is None else form
+    if not f.dim:
+        return 0.0
+    exps, coeffs = _term_arrays(f)
+    # a pure power's alpha_i / m is 1 in its own row and 0 elsewhere
+    pure = exps.max(axis=1) == f.degree
+    return float(np.min(exps.T @ np.where(pure, coeffs, -np.abs(coeffs)) / f.degree))
 
 
 def cauchy_gram(c: Sequence[float], basis: MonomialBasis) -> np.ndarray:
@@ -457,6 +470,121 @@ def cauchy_gram(c: Sequence[float], basis: MonomialBasis) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# AM-GM certificates of weakly dominated forms
+
+
+@lru_cache(maxsize=None)
+def _agiform_squares(pattern: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hurwitz's squares of the agiform sum_i (p_i / m) x_i^m - x^p.
+
+    `pattern` is a degree-m exponent vector p (m = sum p even) that is not a
+    pure power.  Returns weights w > 0 and half-degree exponent rows B, C
+    with sum_i (p_i / m) x_i^m - x^p = sum_k w_k (x^B_k - x^C_k)^2.
+
+    Write agi(q) for the agiform of q; it is linear in q and zero at a pure
+    power.  Split q into two degree-m/2 halves, q = b + c.  Then
+    (x^b - x^c)^2 / 2 = x^2b / 2 + x^2c / 2 - x^q, so
+    agi(q) = (x^b - x^c)^2 / 2 + agi(2b) / 2 + agi(2c) / 2 (Hurwitz 1891;
+    Reznick 1989).  The even children 2b and 2c are split in turn.  The split
+    fills b from q's largest exponents first, so 2b is either a pure power or
+    has a largest exponent twice q's: from every q a chain of at most
+    log2(m) + 1 splits reaches a pure power.  Reading the splits as a Markov
+    chain that moves from q to 2b or 2c with probability 1/2 each and stops
+    at the pure powers, agi(p) = sum_q v_q (x^b_q - x^c_q)^2 / 2, with v_q the
+    expected number of visits to q starting from p.  The chain is absorbing,
+    so v solves one linear system (I - T') v = e_p and every v_q >= 2^-(steps
+    to q) > 0.
+    """
+    m = sum(pattern)
+    states = [tuple(pattern)]
+    index = {states[0]: 0}
+    halves = []
+    moves = []  # (state, child state) for every child that is not a pure power
+    k = 0
+    while k < len(states):  # states grows as children are found
+        q = np.array(states[k])
+        b = np.zeros_like(q)
+        left = m // 2
+        for i in np.argsort(-q, kind="stable"):
+            b[i] = min(q[i], left)
+            left -= b[i]
+        halves.append((b, q - b))
+        for child in (2 * b, 2 * (q - b)):
+            if child.max() < m:
+                key = tuple(child.tolist())
+                if key not in index:
+                    index[key] = len(states)
+                    states.append(key)
+                moves.append((k, index[key]))
+        k += 1
+    T = np.zeros((len(states), len(states)))
+    for src, dst in moves:
+        T[src, dst] += 0.5
+    start = np.zeros(len(states))
+    start[0] = 1.0
+    visits = np.linalg.solve(np.eye(len(states)) - T.T, start)
+    B = np.array([b for b, _ in halves])
+    C = np.array([c for _, c in halves])
+    return 0.5 * visits, B, C
+
+
+def _amgm_gram(
+    exps: np.ndarray, coeffs: np.ndarray, basis: MonomialBasis
+) -> Optional[np.ndarray]:
+    """Gram matrix of a form whose weak-dominance row bound holds, else None.
+
+    The form is sum over rows of `exps` (degree-m exponent vectors in
+    basis.dim variables) of coeffs x^alpha, with m = 2 * basis.degree.  With
+    a_i the coefficient of x_i^m and w_i the weak row off-sum
+    (`_weak_offsum`), min_i (a_i - w_i) >= 0 makes the form
+    sum_i (a_i - w_i) x_i^m + sum over mixed terms of T_alpha, where
+    T_alpha = b (x^(alpha/2))^2 for b > 0 and every alpha_i even, and
+    T_alpha = |b| sum_i (alpha_i / m) x_i^m + b x^alpha otherwise.  The
+    latter is |b| times the agiform of alpha (`_agiform_squares`) when
+    b < 0; when b > 0 some alpha_j is odd, and negating x_j turns it into
+    that agiform.  Each piece is a nonnegative sum of squares, so the sum of
+    their Gram matrices is PSD by construction.
+    """
+    m = 2 * basis.degree
+    slack = _row_slack(exps, coeffs, m)
+    if np.min(slack) < 0:
+        return None
+    half = np.eye(basis.dim, dtype=np.int64) * basis.degree
+    rows = [basis.index_of(tuple(e)) for e in half.tolist()]
+    cols = list(rows)
+    vals = list(slack)
+    mixed = (exps.max(axis=1) < m) & (coeffs != 0)
+    for alpha, b in zip(exps[mixed], coeffs[mixed]):
+        if b > 0 and not np.any(alpha % 2):
+            p = basis.index_of(tuple((alpha // 2).tolist()))
+            rows.append(p)
+            cols.append(p)
+            vals.append(b)
+            continue
+        # local variable j is the support variable with the j-th largest
+        # exponent, so one cached pattern serves every relabelling
+        support = np.flatnonzero(alpha)
+        support = support[np.argsort(-alpha[support], kind="stable")]
+        w, B, C = _agiform_squares(tuple(alpha[support].tolist()))
+        sign = np.ones(len(w))
+        if b > 0:
+            j = int(np.flatnonzero(alpha[support] % 2)[0])
+            sign = (-1.0) ** (B[:, j] + C[:, j])
+        full = np.zeros((len(w), basis.dim), dtype=np.int64)
+        full[:, support] = B
+        p = [basis.index_of(tuple(e)) for e in full.tolist()]
+        full[:, support] = C
+        q = [basis.index_of(tuple(e)) for e in full.tolist()]
+        weight = abs(b) * w
+        rows += p + q + p + q
+        cols += p + q + q + p
+        vals += list(weight) + list(weight) + list(-sign * weight) * 2
+    Q = np.zeros((len(basis), len(basis)))
+    np.add.at(Q, (np.array(rows), np.array(cols)), np.array(vals, dtype=float))
+    return Q
+
+
+# ---------------------------------------------------------------------------
 # sampling for negative points (infeasibility witnesses)
 
 
@@ -469,6 +597,14 @@ def _unit_power_scale(f: HomogeneousPolynomial) -> np.ndarray:
     d = np.ones(f.dim)
     d[pure > 0] = pure[pure > 0] ** (1.0 / f.degree)
     return d
+
+
+def _term_arrays(f: HomogeneousPolynomial) -> Tuple[np.ndarray, np.ndarray]:
+    """f's exponent vectors as integer rows and its coefficients as floats,
+    in term order."""
+    exps = np.array(list(f.terms), dtype=np.int64).reshape(len(f.terms), f.dim)
+    coeffs = np.fromiter(map(float, f.terms.values()), dtype=float, count=len(f.terms))
+    return exps, coeffs
 
 
 def _weak_offsum(exps: np.ndarray, coeffs: np.ndarray, m: int) -> np.ndarray:
@@ -484,14 +620,17 @@ def _weak_offsum(exps: np.ndarray, coeffs: np.ndarray, m: int) -> np.ndarray:
     return exps.T @ np.where(mixed & signed, np.abs(coeffs), 0.0) / m
 
 
-def _dominance_margin(exps: np.ndarray, coeffs: np.ndarray, m: int) -> float:
-    """min_i (a_i - w_i), a lower bound of the form on the unit m-norm sphere.
-
-    a_i is the coefficient of x_i^m and w_i comes from `_weak_offsum`.
-    """
+def _row_slack(exps: np.ndarray, coeffs: np.ndarray, m: int) -> np.ndarray:
+    """a_i - w_i, with a_i the coefficient of x_i^m and w_i from `_weak_offsum`."""
     pure = exps.max(axis=1) == m
     a = exps.T @ np.where(pure, coeffs, 0.0) / m
-    return float(np.min(a - _weak_offsum(exps, coeffs, m)))
+    return a - _weak_offsum(exps, coeffs, m)
+
+
+def _dominance_margin(exps: np.ndarray, coeffs: np.ndarray, m: int) -> float:
+    """min_i (a_i - w_i), a lower bound of the form on the unit m-norm sphere
+    (see `_row_slack`)."""
+    return float(np.min(_row_slack(exps, coeffs, m)))
 
 
 def _negative_point_scan(
@@ -532,8 +671,7 @@ def _negative_point_scan(
     """
     m = f.degree
     d = _unit_power_scale(f)
-    exps = np.array(list(f.terms), dtype=float).reshape(len(f.terms), f.dim)
-    coeffs_f = np.array([float(c) for c in f.terms.values()])
+    exps, coeffs_f = _term_arrays(f)
     coeffs = coeffs_f / np.prod(d ** exps, axis=1)
     cut = threshold * (1.0 + float(np.max(np.abs(coeffs), initial=0.0)))
     if max(_dominance_margin(exps, coeffs_f, m), _dominance_margin(exps, coeffs, m)) >= 0:
@@ -754,9 +892,12 @@ def _certify_monolithic(
 ) -> Union[SosCertificate, NotCertified]:
     """Certify f with one Gram matrix over the full half-degree basis.
 
-    Diagonal forms take an exact diagonal Gram matrix, and positive Cauchy
-    forms (generator c from `cauchy_generator(f)`, None for any other form)
-    their closed-form one.  Otherwise the Gram SDP of the scaled form
+    Diagonal forms take an exact diagonal Gram matrix, forms whose row bound
+    holds in f's or g's units (see `_Scaling`) the AM-GM one of
+    `_amgm_gram`, and positive Cauchy forms (generator c from
+    `cauchy_generator(f)`, None for any other form) their closed-form one;
+    a matrix that fails the check falls through to the next route.
+    Otherwise the Gram SDP of the scaled form
     g (see `_Scaling`), divided by its largest coefficient, is solved until
     its residual is half the certificate tolerance of both g and f.
     Whatever matrix is proposed without Farkas evidence is finished and
@@ -781,7 +922,7 @@ def _certify_monolithic(
                     p = system.basis.index_of(alpha)
                     Q[p, p] = c
             squares, rank = extract_sos_terms(Q, system.basis, opts.rank_threshold)
-            return SosCertificate(system.basis, Q, squares, rank, 0.0)
+            return SosCertificate(system.basis, Q, squares, rank, 0.0, "diagonal")
         i = int(np.argmin(coeffs))
         e = np.zeros(n)
         e[i] = 1.0
@@ -793,10 +934,22 @@ def _certify_monolithic(
         )
 
     scaling = _Scaling.of(f, system)
+    s = scaling.basis_scale
+    # the row bound in f's units, else in the unit-pure-power units of g
+    exps = np.array(system.alphas, dtype=np.int64)
+    Q = _amgm_gram(exps, scaling.rhs_f, system.basis)
+    if Q is not None:
+        Q = Q / np.outer(s, s)
+    else:
+        Q = _amgm_gram(exps, scaling.rhs, system.basis)
+    if Q is not None:
+        finished = _finish_certificate(Q, scaling, 1.0, opts, "amgm")
+        if isinstance(finished, SosCertificate):
+            return finished
+
     if c is not None:
-        s = scaling.basis_scale
         Q = cauchy_gram(c, system.basis) / np.outer(s, s)
-        finished = _finish_certificate(Q, scaling, 1.0, opts)
+        finished = _finish_certificate(Q, scaling, 1.0, opts, "cauchy")
         if isinstance(finished, SosCertificate):
             return finished
 
@@ -826,7 +979,7 @@ def _certify_monolithic(
             message="separating certificate found for the Gram system",
         )
 
-    finished = _finish_certificate(sol.X, scaling, scale, opts)
+    finished = _finish_certificate(sol.X, scaling, scale, opts, "sdp")
     if isinstance(finished, SosCertificate) or sol.status == sdp.OPTIMAL:
         # an iterate that met the stop rule is finished either way; the
         # retries below are for iterates stopped at the iteration cap
@@ -836,7 +989,7 @@ def _certify_monolithic(
         gs = HomogeneousPolynomial(m, n, dict(zip(system.alphas, rhs.tolist())))
         reduced = _facial_reduction_solve(gs, system, feas_tol, opts)
         if reduced is not None:
-            finished = _finish_certificate(reduced, scaling, scale, opts)
+            finished = _finish_certificate(reduced, scaling, scale, opts, "sdp")
             if isinstance(finished, SosCertificate):
                 return finished
 
@@ -862,12 +1015,14 @@ def _finish_certificate(
     scaling: _Scaling,
     scale: float,
     opts: CertifyOptions,
+    method: str,
 ) -> Union[SosCertificate, NotCertified]:
     """Unscale, rank-reduce and check a Gram matrix of the scaled form g.
 
     The certificate returned is in f's variables; its residual is in f's
-    units.  It is accepted only when the coefficient residual is within the
-    certificate tolerance of g and, after the factor d^alpha, of f.
+    units, and `method` names the route that proposed the matrix.  It is
+    accepted only when the coefficient residual is within the certificate
+    tolerance of g and, after the factor d^alpha, of f.
     """
     system = scaling.system
     Q = sdp.psd_project(np.asarray(X) * scale)
@@ -885,7 +1040,9 @@ def _finish_certificate(
         )
     s = scaling.basis_scale
     squares, rank = extract_sos_terms(Q, system.basis, opts.rank_threshold, s)
-    return SosCertificate(system.basis, np.outer(s, s) * Q, squares, rank, residual)
+    return SosCertificate(
+        system.basis, np.outer(s, s) * Q, squares, rank, residual, method
+    )
 
 
 def _facial_reduction_solve(
@@ -955,6 +1112,7 @@ def _certify_blockwise(
     residual = 0.0
     squares: List[HomogeneousPolynomial] = []
     structure: List[Tuple[int, ...]] = []
+    methods: List[str] = []
     basis = monomial_basis(n, m // 2)
     Q_full = np.zeros((len(basis), len(basis)))
     for block in blocks:
@@ -972,6 +1130,7 @@ def _certify_blockwise(
         total_rank += result.rank_estimate
         residual = max(residual, result.residual)
         structure.append(tuple(vars_))
+        methods.append(result.method)
         # lift block squares and Gram entries back to the full variable set
         lifted = {}
         for alpha in result.basis.exponents:
@@ -985,4 +1144,6 @@ def _certify_blockwise(
         # blocks share no variable, so no two blocks lift onto one position
         lift = np.array([basis.index_of(full) for full in lifted.values()], dtype=np.intp)
         Q_full[np.ix_(lift, lift)] += result.gram
-    return SosCertificate(basis, Q_full, squares, total_rank, residual, structure)
+    return SosCertificate(
+        basis, Q_full, squares, total_rank, residual, "blockwise", structure, methods
+    )

@@ -141,7 +141,7 @@ def _max_shift_sdp(
     scale = f.max_abs_coefficient() or 1.0
     fs = f.scale(1.0 / scale)
     As = from_polynomial(fs)
-    g = gershgorin_lower_bound(As)
+    g = gershgorin_lower_bound(As, fs)
     diag = [float(fs.diagonal_coefficient(i)) for i in range(n)]
     mind = min(diag)
 
@@ -350,7 +350,7 @@ def min_h_eigenvalue(
     if A.order % 2 != 0:
         raise SpectralError("minimum H-eigenvalue program needs even order")
     f = A.to_polynomial() if form is None else form
-    g = gershgorin_lower_bound(A)
+    g = gershgorin_lower_bound(A, f)
     ext = detect_extended_z(A, f)
 
     use_blocks = ext.holds and (

@@ -159,6 +159,16 @@ class TestCliCommands:
         assert verdict["holds"] is True
         assert verdict["witness"] == {"c": ["1", "2", "3"]}
 
+    def test_sos_blockwise_json_names_each_route(self, tmp_path, capsys):
+        path = tmp_path / "e54.json"
+        main(["gen", "example54", "--n", "40", "--out", str(path)])
+        capsys.readouterr()
+        assert main(["sos", str(path), "--format", "json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["method"] == "blockwise"
+        assert payload["block_methods"] == ["amgm"] * 10
+        assert len(payload["blocks"]) == 10
+
     def test_sos_indefinite(self, tmp_path, capsys):
         f = HomogeneousPolynomial(4, 2, {(4, 0): 1, (2, 2): -3, (0, 4): 1})
         path = tmp_path / "t.txt"

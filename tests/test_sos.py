@@ -360,6 +360,29 @@ class TestGershgorin:
         A = SymmetricTensor(4, 3, entries)
         assert gershgorin_lower_bound(A) >= 0
 
+    @staticmethod
+    def _pool(name):
+        if name == "criterion7":
+            return [
+                generators.random_class_instance(cls, (4, 6)[s % 2], 2 + s % 3, 40_000 + s)
+                for cls in generators.CLASS_GENERATORS for s in range(20)
+            ]
+        if name == "procedure1":
+            from sostensor.spectral import generate_procedure1
+
+            return [generate_procedure1(4, 20, 4, 5, 100.0, seed=31_000 + i).tensor for i in range(10)]
+        return [generators.example54(n) for n in (4, 20, 100)]
+
+    @pytest.mark.parametrize("name", ["criterion7", "procedure1", "example54_exact"])
+    def test_bound_from_the_form_matches_row_tables(self, name):
+        for A in self._pool(name):
+            rows = row_tables(A)
+            diag = np.array([float(A.diagonal_entry(i)) for i in range(A.dim)])
+            off = np.array([float(v) for v in rows.absolute_offsum])
+            bound = gershgorin_lower_bound(A)
+            assert abs(bound - np.min(diag - off)) <= 1e-12 * np.max(np.abs(diag) + off)
+            assert gershgorin_lower_bound(A, A.to_polynomial()) == bound
+
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10 ** 6))
     def test_soundness_against_oracle(self, seed):
@@ -849,3 +872,205 @@ def test_psd_but_not_sos_has_farkas_evidence(monkeypatch, name):
     assert w[0] >= -1e-9 * w[-1]
     coeffs = np.array([float(f.coefficient(a)) for a in system.alphas])
     assert float(y @ coeffs) < -1e-3 * float(np.linalg.norm(y))
+
+
+def _partitions(m, largest=None):
+    """Partitions of m, largest part first."""
+    if m == 0:
+        yield ()
+        return
+    for k in range(min(m, largest or m), 0, -1):
+        for rest in _partitions(m - k, k):
+            yield (k,) + rest
+
+
+def _square_sum(weights, B, C):
+    """Coefficients of sum_k w_k (x^B_k - x^C_k)^2, by exponent."""
+    out = {}
+    for w, b, c in zip(weights, B, C):
+        for e1, s1 in ((b, 1.0), (c, -1.0)):
+            for e2, s2 in ((b, 1.0), (c, -1.0)):
+                key = tuple(int(v) for v in e1 + e2)
+                out[key] = out.get(key, 0.0) + w * s1 * s2
+    return out
+
+
+def _dominated_form(seed, order, zero_row=True):
+    """A random weakly dominated form: negative, positive-odd and
+    positive-even mixed terms, every pure power at its row's weak off-sum
+    plus a slack, and one row's slack exactly 0.  Coefficients are integer
+    multiples of the order, so the off-sums and the margin are exact in
+    floats."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    terms = {}
+    for kind in rng.integers(0, 3, size=int(rng.integers(1, 7))):
+        if kind == 2:  # positive, every exponent even
+            alpha = 2 * np.bincount(rng.integers(0, n, order // 2), minlength=n)
+        else:
+            alpha = np.bincount(rng.integers(0, n, order), minlength=n)
+            if kind == 1 and not np.any(alpha % 2):  # positive with an odd exponent
+                i = rng.choice(np.flatnonzero(alpha))
+                j = (i + int(rng.integers(1, n))) % n
+                alpha[i] -= 1
+                alpha[j] += 1
+        if alpha.max() == order:
+            continue
+        sign = -1 if kind == 0 else 1
+        terms[tuple(int(e) for e in alpha)] = sign * order * int(rng.integers(1, 10))
+    if not terms:
+        terms[(order - 1, 1) + (0,) * (n - 2)] = -order
+    exps, coeffs = _exps_coeffs(HomogeneousPolynomial(order, n, terms))
+    w = sos._weak_offsum(exps, coeffs, order)
+    slack = rng.integers(0, 4, size=n).astype(float)
+    if zero_row:
+        slack[rng.integers(n)] = 0.0
+    for i in range(n):
+        pure = tuple(order if v == i else 0 for v in range(n))
+        terms[pure] = float(w[i] + slack[i])
+    scale = 2.0 ** int(rng.integers(-3, 4))
+    return HomogeneousPolynomial(order, n, {a: scale * c for a, c in terms.items()})
+
+
+class TestAmgmRoute:
+    """Weakly dominated forms are certified from Hurwitz's AM-GM squares,
+    with no SDP solve."""
+
+    @pytest.mark.parametrize("order", [4, 6, 8])
+    def test_agiform_squares_of_every_pattern(self, order):
+        for pattern in _partitions(order):
+            if len(pattern) < 2:
+                continue
+            w, B, C = sos._agiform_squares(pattern)
+            assert np.all(w > 0)
+            assert np.all(B.sum(axis=1) == order // 2)
+            assert np.all(C.sum(axis=1) == order // 2)
+            target = {pattern: -1.0}
+            for i, p in enumerate(pattern):
+                pure = tuple(order if v == i else 0 for v in range(len(pattern)))
+                target[pure] = p / order
+            got = _square_sum(w, B, C)
+            for alpha in set(got) | set(target):
+                assert got.get(alpha, 0.0) == pytest.approx(
+                    target.get(alpha, 0.0), abs=1e-12
+                ), (pattern, alpha)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.sampled_from([4, 6]))
+    def test_dominated_forms_take_the_amgm_route(self, seed, order):
+        f = _dominated_form(seed, order)
+        exps, coeffs = _exps_coeffs(f)
+        assert sos._dominance_margin(exps, coeffs, order) == 0.0
+        A = from_polynomial(f)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _count_solves(mp)
+            cert = certify_sos(A, CertifyOptions(blockwise="off"))
+        assert isinstance(cert, SosCertificate)
+        assert cert.method == "amgm"
+        assert calls == []
+        assert _independent_residual(A, cert) <= 1e-12 * (1 + f.max_abs_coefficient())
+        w = np.linalg.eigvalsh(cert.gram)
+        assert w[0] >= -1e-12 * max(w[-1], 1.0)
+
+    def test_gram_of_each_kind_of_term(self):
+        # slacks 1/4, 1/2, 1/4 beside a negative, a positive odd and a
+        # positive even mixed term
+        basis = monomial_basis(3, 2)
+        terms = {(4, 0, 0): 1.0, (0, 4, 0): 1.0, (0, 0, 4): 1.0,
+                 (3, 1, 0): -1.0, (0, 1, 3): 1.0, (0, 2, 2): 2.0}
+        f = HomogeneousPolynomial(4, 3, terms)
+        exps, coeffs = _exps_coeffs(f)
+        Q = sos._amgm_gram(exps.astype(np.int64), coeffs, basis)
+        assert np.array_equal(Q, Q.T) and np.linalg.eigvalsh(Q)[0] >= -1e-15
+        system = gram_system(3, 4)
+        assert np.allclose(_constraint_values(Q, system), system.rhs(f), rtol=0, atol=1e-15)
+
+    def test_bound_in_the_scaled_units_only(self, monkeypatch):
+        # in f's units x1's row fails (1e-4 < 0.75); scaled to unit pure
+        # powers the mixed coefficient is -1.5 and both rows hold
+        f = HomogeneousPolynomial(4, 2, {(4, 0): 1e4, (0, 4): 1e-4, (2, 2): -1.5})
+        exps, coeffs = _exps_coeffs(f)
+        assert sos._dominance_margin(exps, coeffs, 4) < 0
+        calls = _count_solves(monkeypatch)
+        cert = certify_sos(from_polynomial(f))
+        assert isinstance(cert, SosCertificate) and cert.method == "amgm"
+        assert calls == []
+
+    def test_form_failing_the_bound_in_both_units_reaches_the_sdp(self, monkeypatch):
+        # x0^4 + x1^4 - 1.5 x0^3 x1 is PSD (binary), and row 0's weak
+        # off-sum 1.125 exceeds its pure power in both units
+        f = HomogeneousPolynomial(4, 2, {(4, 0): 1.0, (0, 4): 1.0, (3, 1): -1.5})
+        calls = _count_solves(monkeypatch)
+        cert = certify_sos(from_polynomial(f))
+        assert isinstance(cert, SosCertificate) and cert.method == "sdp"
+        assert len(calls) >= 1
+
+    def test_rank_never_above_the_sdp_route(self, monkeypatch):
+        # criterion 7's pool; the SDP route is the same call with the AM-GM
+        # route switched off
+        pool = [
+            generators.random_class_instance(name, (4, 6)[s % 2], 2 + s % 3, 40_000 + s)
+            for name in generators.CLASS_GENERATORS for s in range(20)
+        ]
+        certs = [certify_sos(A) for A in pool]
+        monkeypatch.setattr(sos, "_amgm_gram", lambda *args: None)
+        compared = 0
+        for A, cert in zip(pool, certs):
+            assert isinstance(cert, SosCertificate)
+            if "amgm" not in [cert.method] + (cert.block_methods or []):
+                continue
+            reference = certify_sos(A)
+            assert "amgm" not in [reference.method] + (reference.block_methods or [])
+            assert cert.rank_estimate <= reference.rank_estimate
+            compared += 1
+        assert compared >= 100
+
+
+class TestCertificateMethod:
+    """Every certificate names the route that built it."""
+
+    def test_diagonal(self):
+        cert = certify_sos(identity_tensor(4, 3), CertifyOptions(blockwise="off"))
+        assert cert.method == "diagonal"
+
+    def test_amgm(self):
+        A = generators.random_class_instance("weak_diag_dominated", 4, 3, 40_000)
+        assert certify_sos(A).method == "amgm"
+
+    def test_cauchy(self):
+        A = generators.random_class_instance("cauchy_psd", 4, 3, 40_000)
+        assert certify_sos(A).method == "cauchy"
+
+    def test_sdp(self):
+        f = HomogeneousPolynomial(4, 2, {(4, 0): 1.0, (0, 4): 1.0, (3, 1): -1.5})
+        assert certify_sos(from_polynomial(f)).method == "sdp"
+
+    def test_blockwise_reports_each_block(self):
+        cert = certify_sos(generators.example54(20))
+        assert cert.method == "blockwise"
+        assert cert.block_methods == ["amgm"] * 5
+        payload = cert.to_dict()
+        assert payload["method"] == "blockwise"
+        assert payload["block_methods"] == ["amgm"] * 5
+        assert len(payload["blocks"]) == 5
+
+    def test_blockwise_methods_align_with_blocks(self):
+        # psd_extended_z seed 40002: one block needs the SDP, the other is
+        # diagonal
+        A = generators.random_class_instance("psd_extended_z", 4, 4, 40_002)
+        cert = certify_sos(A)
+        assert cert.method == "blockwise"
+        f = A.to_polynomial()
+        for block, method in zip(cert.block_structure, cert.block_methods):
+            sub = f.restrict(block)
+            own = sos._certify_monolithic(
+                sub, CertifyOptions(blockwise="off"), cauchy_generator(sub)
+            )
+            assert own.method == method
+        assert sorted(cert.block_methods) == ["diagonal", "sdp"]
+
+    def test_monolithic_to_dict(self):
+        payload = certify_sos(
+            identity_tensor(4, 2), CertifyOptions(blockwise="off")
+        ).to_dict()
+        assert payload["method"] == "diagonal" and payload["block_methods"] is None

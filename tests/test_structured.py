@@ -105,7 +105,11 @@ class TestRowTables:
         rng = np.random.default_rng(order * 10 + dim + 1)
         for _ in range(5):
             A = _random_exact_or_float_tensor(rng, order, dim, kind)
-            assert gershgorin_lower_bound(A) == reference_gershgorin(A)
+            # the bound is read from the form's float coefficients, so it
+            # matches the exact row scans up to rounding
+            ref = reference_gershgorin(A)
+            size = max(abs(float(v)) for v in A.to_polynomial().terms.values())
+            assert abs(gershgorin_lower_bound(A) - ref) <= 1e-12 * dim * size
             slacks = tuple(
                 float(A.diagonal_entry(i)) - float(reference_row_absolute_offsum(A, i))
                 for i in range(dim)
