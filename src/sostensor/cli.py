@@ -162,6 +162,7 @@ def _cmd_eigmin(args) -> int:
     else:
         lines = [f"lambda_min: {res.lambda_min:.10g}"]
         lines.append(f"status: {res.solver_status}")
+        lines.append(f"method: {res.method}")
         kind = "exact (extended-Z)" if res.exact else "lower bound"
         lines.append(f"value_kind: {kind}")
         lines.append(f"gershgorin_bound: {res.gershgorin:.10g}")

@@ -132,7 +132,6 @@ class SphereMinimum:
     value: float
     point: np.ndarray
     gradient_norm: float
-    near_zeros: List[np.ndarray]
 
 
 def _sign_grid(n: int, cap: int) -> Optional[np.ndarray]:
@@ -161,14 +160,12 @@ def sphere_minimize(
     iters: int = 300,
     grid_cap: int = 3 ** 8,
     stop_below: Optional[float] = None,
-    collect_below: Optional[float] = None,
     grad_tol: float = 1e-12,
 ) -> SphereMinimum:
     """Best local minimum of f over the unit m-norm sphere across many starts.
 
     `stop_below` truncates the iteration budget once any value drops under
-    it; `collect_below` gathers the converged points whose |value| falls
-    under the threshold (used to sample the zero set of a nonnegative form).
+    it.
     """
     ev = FormEvaluator(f)
     n, m = f.dim, f.degree
@@ -211,8 +208,4 @@ def sphere_minimize(
     if grid_best is not None and grid_best[0] < best_val:
         best_val, best_x = grid_best
     g = ev.gradient(best_x) - m * best_val * best_x ** (m - 1)
-    near_zeros: List[np.ndarray] = []
-    if collect_below is not None:
-        for i in np.nonzero(np.abs(vals) <= collect_below)[0]:
-            near_zeros.append(X[i].copy())
-    return SphereMinimum(best_val, best_x, float(np.max(np.abs(g))), near_zeros)
+    return SphereMinimum(best_val, best_x, float(np.max(np.abs(g))))

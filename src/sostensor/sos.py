@@ -16,11 +16,10 @@ degree-m monomials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -37,9 +36,7 @@ from .tensor import (
     HomogeneousPolynomial,
     Number,
     SymmetricTensor,
-    TensorError,
     exponent_multiplicity,
-    from_polynomial,
 )
 
 
@@ -80,16 +77,6 @@ class MonomialBasis:
         except KeyError:
             raise ValueError(f"exponent {tuple(alpha)} is not in the basis") from None
 
-    def evaluate(self, x: Sequence[float]) -> np.ndarray:
-        out = np.ones(len(self.exponents))
-        for p, alpha in enumerate(self.exponents):
-            v = 1.0
-            for i, e in enumerate(alpha):
-                if e:
-                    v *= float(x[i]) ** e
-            out[p] = v
-        return out
-
 
 @lru_cache(maxsize=None)
 def monomial_basis(dim: int, degree: int) -> MonomialBasis:
@@ -114,10 +101,10 @@ class GramSystem:
     Gram position (p, q) of the N x N matrix Q feeds the coefficient of
     alpha = beta_p + beta_q, so <E_alpha, Q> sums Q over the positions
     labelled alpha.  `labels` holds that label for every position and is the
-    one place that knows the system's structure: coefficient values,
-    the solver's constraint map and the congruences V' E_alpha V of rank
-    reduction and facial reduction are all read from it.  It is built on
-    first use, once per (dim, order).
+    one place that knows the system's structure: coefficient values, the
+    solver's constraint map and the congruences V' E_alpha V of rank
+    reduction are all read from it.  It is built on first use, once per
+    (dim, order).
     """
 
     basis: MonomialBasis
@@ -273,7 +260,6 @@ class CertifyOptions:
     max_iter: int = 200_000
     rank_threshold: float = 1e-7
     point_scan: bool = True
-    facial_reduction: bool = True
     seed: int = 20240801
 
 
@@ -634,18 +620,13 @@ def _dominance_margin(exps: np.ndarray, coeffs: np.ndarray, m: int) -> float:
 
 
 def _negative_point_scan(
-    f: HomogeneousPolynomial,
-    seed: int,
-    restarts: int = 40,
-    iters: int = 200,
-    threshold: float = -1e-9,
-    cauchy: bool = False,
+    f: HomogeneousPolynomial, seed: int, cauchy: bool = False
 ) -> Optional[Tuple[np.ndarray, float]]:
     """Cheap multistart descent looking for a strictly negative value.
 
     Success proves the form is not PSD (hence not SOS); failure proves
-    nothing.  The scan runs on g(y) = f(y / d) with d from
-    `_unit_power_scale`, cut at threshold * (1 + max |coefficient of g|):
+    nothing.  The scan runs 40 starts of 200 steps on g(y) = f(y / d) with
+    d from `_unit_power_scale`, cut at -1e-9 * (1 + max |coefficient of g|):
     in f's own units one huge pure power would push the cut below the
     form's whole negative range.  A hit y maps back to x = y / d,
     normalized to the unit m-norm sphere, where f(x) = g(y) / ||y / d||_m^m.
@@ -673,15 +654,13 @@ def _negative_point_scan(
     d = _unit_power_scale(f)
     exps, coeffs_f = _term_arrays(f)
     coeffs = coeffs_f / np.prod(d ** exps, axis=1)
-    cut = threshold * (1.0 + float(np.max(np.abs(coeffs), initial=0.0)))
+    cut = -1e-9 * (1.0 + float(np.max(np.abs(coeffs), initial=0.0)))
     if max(_dominance_margin(exps, coeffs_f, m), _dominance_margin(exps, coeffs, m)) >= 0:
         return None
     if cauchy and -CAUCHY_RTOL / (1.0 - CAUCHY_RTOL) * np.sum(np.abs(coeffs)) > cut:
         return None
     g = HomogeneousPolynomial(m, f.dim, dict(zip(f.terms, coeffs.tolist())))
-    res = sphere_minimize(
-        g, seed=seed, restarts=restarts, iters=iters, stop_below=cut
-    )
+    res = sphere_minimize(g, seed=seed, restarts=40, iters=200, stop_below=cut)
     if res.value < cut:
         x = res.point / d
         norm_m = float(np.sum(np.abs(x) ** m))
@@ -901,9 +880,9 @@ def _certify_monolithic(
     g (see `_Scaling`), divided by its largest coefficient, is solved until
     its residual is half the certificate tolerance of both g and f.
     Whatever matrix is proposed without Farkas evidence is finished and
-    checked, and the check alone decides.  Facial reduction and a deeper
-    negative-point scan follow only when that check fails on an iterate
-    stopped at the iteration cap.
+    checked, and the check alone decides; an iterate stopped at the
+    iteration cap that fails it is reported `inconclusive` with the solver's
+    residual.
     """
     n, m = f.dim, f.degree
     system = gram_system(n, m)
@@ -981,27 +960,8 @@ def _certify_monolithic(
 
     finished = _finish_certificate(sol.X, scaling, scale, opts, "sdp")
     if isinstance(finished, SosCertificate) or sol.status == sdp.OPTIMAL:
-        # an iterate that met the stop rule is finished either way; the
-        # retries below are for iterates stopped at the iteration cap
+        # an iterate that met the stop rule is finished either way
         return finished
-
-    if opts.facial_reduction:
-        gs = HomogeneousPolynomial(m, n, dict(zip(system.alphas, rhs.tolist())))
-        reduced = _facial_reduction_solve(gs, system, feas_tol, opts)
-        if reduced is not None:
-            finished = _finish_certificate(reduced, scaling, scale, opts, "sdp")
-            if isinstance(finished, SosCertificate):
-                return finished
-
-    deeper = _negative_point_scan(
-        f, opts.seed + 1, restarts=120, iters=400, cauchy=c is not None
-    )
-    if deeper is not None:
-        x, val = deeper
-        return NotCertified(
-            "not_sos", witness_point=x, witness_value=val,
-            message=f"form evaluates to {val:.6g} < 0",
-        )
     return NotCertified(
         "inconclusive",
         message=f"solver stopped after {sol.iterations} iterations "
@@ -1043,61 +1003,6 @@ def _finish_certificate(
     return SosCertificate(
         system.basis, np.outer(s, s) * Q, squares, rank, residual, method
     )
-
-
-def _facial_reduction_solve(
-    fs: HomogeneousPolynomial,
-    system: GramSystem,
-    feas_tol: float,
-    opts: CertifyOptions,
-) -> Optional[np.ndarray]:
-    """Retry feasibility after quotienting out detected zeros of the form.
-
-    A zero x* of a PSD form forces Q z(x*) = 0 for every Gram matrix, so the
-    search can be restricted to the orthogonal complement of the observed
-    z(x*) directions, which restores interior-point-like geometry for forms
-    on the boundary of the cone.  The reduced solve has the same right-hand
-    side as the full one and stops at the same `feas_tol`.  Returns the
-    lifted iterate unless no zero was seen or the solver found Farkas
-    evidence; the caller's certificate check decides.
-    """
-    n, m = fs.dim, fs.degree
-    scale = fs.max_abs_coefficient() or 1.0
-    res = sphere_minimize(
-        fs,
-        seed=opts.seed + 17,
-        restarts=40,
-        iters=400,
-        collect_below=1e-9 * scale,
-    )
-    zs = [system.basis.evaluate(x) for x in res.near_zeros]
-    if not zs:
-        return None
-    Zmat = np.array(zs).T  # N x zeros
-    # orthonormal basis of the span of the zero directions
-    Uz, sv, _ = np.linalg.svd(Zmat, full_matrices=False)
-    keep = sv > 1e-8 * sv[0]
-    Uz = Uz[:, keep]
-    N = len(system.basis)
-    P = np.linalg.svd(np.eye(N) - Uz @ Uz.T)[0][:, : N - Uz.shape[1]]
-    r = P.shape[1]
-    if r == 0:
-        return np.zeros((N, N))
-
-    # reduced constraints <P' E_alpha P, Qr> = f_alpha, entries above 1e-14
-    upper = system.congruence(P)
-    iu, ju = np.triu_indices(r)
-    k, c = np.nonzero(np.abs(upper) > 1e-14)
-    op = sdp.ConstraintMap.from_entries(
-        r, system.num_constraints, k, iu[c], ju[c], upper[k, c]
-    )
-    problem = sdp.SdpProblem(r, 0, operator=op, rhs=system.rhs(fs))
-    sol = sdp.solve(
-        problem, sdp.SolveOptions(feas_tol=feas_tol, max_iter=opts.max_iter)
-    )
-    if sol.status == sdp.INFEASIBLE_EVIDENCE:
-        return None
-    return P @ sol.X @ P.T
 
 
 def _certify_blockwise(

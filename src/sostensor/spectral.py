@@ -12,22 +12,22 @@ squares (whence mu* = r*).  Disjoint variable blocks decouple: the overall
 value is the minimum of the per-block values, each of which is a
 closed-form critical-coefficient computation (blocks with one mixed term),
 a power-method sandwich (blocks whose mixed terms are all nonpositive, see
-`_z_sandwich`), or a small Gram-matrix semidefinite program solved by
-certified bisection on r.
+`_z_sandwich`), or one objective-mode Gram-matrix semidefinite program for
+r (`_max_shift_sdp`).
 
 Every reported value is a sound lower bound on the true minimum eigenvalue:
 it is the maximum of the diagonal-dominance (Gershgorin) bound and the best
-r carrying a certificate: a verified Gram matrix, minus its coefficient
-defect, or a scaling that makes f - r sum x_i^m diagonally dominated.  For
-extended-Z tensors the program value equals the eigenvalue, so the report
-is exact up to the requested tolerance.
+r carrying a certificate: a Gram matrix plus the AM-GM bound of its
+coefficient defect, or a scaling that makes f - r sum x_i^m diagonally
+dominated.  For extended-Z tensors the program value equals the eigenvalue,
+so the report is exact up to the requested tolerance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,18 +35,13 @@ from . import sdp
 from .descent import FormEvaluator, sphere_minimize
 from .sos import (
     _constraint_values,
+    _dominance_margin,
     gershgorin_lower_bound,
     gram_system,
     max_diagonal_shift_single_term,
 )
 from .structured import detect_extended_z
-from .tensor import (
-    HomogeneousPolynomial,
-    SymmetricTensor,
-    TensorError,
-    eigen_residual,
-    from_polynomial,
-)
+from .tensor import HomogeneousPolynomial, SymmetricTensor, eigen_residual
 
 
 class SpectralError(ValueError):
@@ -57,7 +52,6 @@ class SpectralError(ValueError):
 class EigMinOptions:
     blockwise: str = "auto"  # auto | on | off
     tol: float = 1e-6
-    feas_tol: float = 1e-9
     max_iter: int = 60_000
     use_closed_form: bool = True
     seed: int = 7_652_413
@@ -80,6 +74,7 @@ class BlockValue:
 class EigMinResult:
     lambda_min: float
     blockwise: bool
+    method: str  # blockwise, or the form's route (see BlockValue.method)
     per_block: Optional[List[BlockValue]]
     solver_status: str
     gershgorin: float
@@ -93,6 +88,7 @@ class EigMinResult:
         return {
             "lambda_min": self.lambda_min,
             "blockwise": self.blockwise,
+            "method": self.method,
             "per_block": [
                 {
                     "variables": list(b.variables),
@@ -125,111 +121,86 @@ def _pure_power_rows(system, m: int) -> np.ndarray:
     return (np.array(system.alphas).max(axis=1) == m).astype(float)
 
 
+def _defect_margin(
+    system, target: np.ndarray, X: np.ndarray
+) -> Tuple[float, np.ndarray]:
+    """AM-GM row bound of the defect target - z' P z, and P = psd_project(X).
+
+    `target` holds coefficients over `system.alphas`; see `_max_shift_sdp`
+    for what the bound certifies.
+    """
+    P = sdp.psd_project(X)
+    defect = target - _constraint_values(P, system)
+    return _dominance_margin(np.array(system.alphas), defect, 2 * system.basis.degree), P
+
+
 def _max_shift_sdp(
     f: HomogeneousPolynomial, opts: EigMinOptions
 ) -> Tuple[float, str]:
     """Largest r with f - r * sum x_i^m a sum of squares, certified from below.
 
-    Bisection on r: the top of the bracket is pinned by an evaluated point
-    (any x on the sphere shows r > f(x) is infeasible) and by the smallest
-    diagonal coefficient; the bottom starts at the diagonal-dominance bound,
-    which is always feasible.  Feasible probes are verified by an explicit
-    Gram matrix whose coefficient defect is subtracted from the reported
-    value, so the result never overshoots the true optimum.
+    With a_i the coefficient of x_i^m in a form and w_i its weak row off-sum,
+    min_i (a_i - w_i) (`_dominance_margin`) is an SOS shift: subtracting it
+    times sum x_i^m leaves every row slack nonnegative, and such a form is a
+    sum of Hurwitz's AM-GM squares (`sos._amgm_gram`; Reznick 1989).  Of f
+    itself that is the floor of the returned value.
+
+    One objective-mode Gram solve, max { r : <E_alpha, X> + r [alpha pure]
+    = f_alpha, X PSD }, then gives an estimate r_hat and an iterate X.  Any
+    r and any PSD P define the defect e = f - r sum x_i^m - z' P z, and
+    f - (r + t) sum x_i^m = z' P z + (e - t sum x_i^m) is SOS for
+    t = min_i (a_i - w_i) of e, so r + t is certified whatever the solve's
+    status (`_defect_margin`).  The solve stops once every coefficient of e is
+    within tol / (2 K) of zero, K the number of coefficients, so
+    t >= -sum |e_alpha| >= -tol/2 costs at most half the tolerance.  The top is hi, the smallest of f's
+    diagonal coefficients and the best sphere value found by descent: both
+    are values of f on the unit m-norm sphere.  The status is `optimal` iff
+    hi - lo <= tol.  Only while that gap is open, one feasibility solve at
+    min(hi, r_hat) - 2 tol, warm-started from the projected iterate, offers
+    its own certified bound.
     """
     n, m = f.dim, f.degree
     scale = f.max_abs_coefficient() or 1.0
     fs = f.scale(1.0 / scale)
-    As = from_polynomial(fs)
-    g = gershgorin_lower_bound(As, fs)
-    diag = [float(fs.diagonal_coefficient(i)) for i in range(n)]
-    mind = min(diag)
-
+    mind = min(float(fs.diagonal_coefficient(i)) for i in range(n))
     if not fs.mixed_terms():
         return scale * mind, "optimal"
 
+    system = gram_system(n, m)
+    rhs = system.rhs(fs)
+    lo = _dominance_margin(np.array(system.alphas), rhs, m)
     probe = sphere_minimize(
         fs, seed=opts.seed, restarts=opts.scan_restarts, iters=opts.scan_iters
     )
     hi = min(mind, probe.value)
-    lo = g
     tol = max(opts.tol / scale, 1e-14)
     if hi - lo <= tol:
-        return scale * max(g, min(lo, hi)), "optimal"
+        return scale * lo, "optimal"
 
-    system = gram_system(n, m)
     N = len(system.basis)
     pure = _pure_power_rows(system, m)
-    rhs_base = system.rhs(fs)
-
-    warm: Optional[np.ndarray] = None
-    best_certified = g
-    witnessed = True
-
-    def feasible(r: float) -> Optional[float]:
-        nonlocal warm
-        rhs = rhs_base - r * pure
-        problem = sdp.SdpProblem(N, 0, operator=system.operator, rhs=rhs)
+    feas_tol = tol / (2 * system.num_constraints * (1.0 + float(np.max(np.abs(rhs)))))
+    sol = sdp.solve(
+        sdp.SdpProblem(
+            N, 1, objective_free=(1.0,), sense="max", operator=system.operator,
+            rhs=rhs, free_matrix=pure[:, None],
+        ),
+        sdp.SolveOptions(feas_tol=feas_tol, max_iter=opts.max_iter),
+    )
+    r_hat = float(sol.free[0])
+    t, P = _defect_margin(system, rhs - r_hat * pure, sol.X)
+    lo = max(lo, r_hat + t)
+    if hi - lo > tol:
+        r = min(hi, r_hat) - 2 * tol
         sol = sdp.solve(
-            problem,
+            sdp.SdpProblem(N, 0, operator=system.operator, rhs=rhs - r * pure),
             sdp.SolveOptions(
-                feas_tol=opts.feas_tol, max_iter=opts.max_iter, warm_start=warm
+                feas_tol=feas_tol, max_iter=opts.max_iter,
+                warm_start=sdp.pack_iterate(P),
             ),
         )
-        if sol.status != sdp.OPTIMAL:
-            return None
-        Q = sdp.psd_project(sol.X)
-        warm = sdp.pack_iterate(Q)
-        defect = float(np.sum(np.abs(_constraint_values(Q, system) - rhs)))
-        return r - defect
-
-    # phase A: one objective-mode solve gives a sharp guess for the optimum
-    r_hat: Optional[float] = None
-    obj_problem = sdp.SdpProblem(
-        N, 1, objective_free=(1.0,), sense="max",
-        operator=system.operator, rhs=rhs_base, free_matrix=pure[:, None],
-    )
-    obj_sol = sdp.solve(
-        obj_problem,
-        sdp.SolveOptions(feas_tol=opts.feas_tol, max_iter=min(opts.max_iter, 30_000)),
-    )
-    if obj_sol.status == sdp.OPTIMAL and math.isfinite(obj_sol.free[0]):
-        r_hat = float(obj_sol.free[0])
-        warm = sdp.pack_iterate(sdp.psd_project(obj_sol.X))
-
-    # phase B: certify slightly under the guess, backing off geometrically
-    candidates = []
-    if r_hat is not None:
-        for delta in (tol, 8 * tol, 64 * tol, 512 * tol):
-            candidates.append(min(hi, r_hat) - delta)
-    candidates.append(hi - tol)
-    for r_try in candidates:
-        if not lo < r_try < hi:
-            continue
-        cert = feasible(r_try)
-        if cert is not None:
-            lo = r_try
-            best_certified = max(best_certified, cert)
-            break
-        if not probe.value < r_try:
-            witnessed = False
-        hi = r_try
-
-    # phase C: close the remaining bracket by bisection
-    for _ in range(80):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        cert = feasible(mid)
-        if cert is not None:
-            lo = mid
-            best_certified = max(best_certified, cert)
-        else:
-            if not probe.value < mid:
-                witnessed = False
-            hi = mid
-    status = "optimal" if (hi - lo <= tol and witnessed) else "inconclusive"
-    return scale * max(g, best_certified), status
+        lo = max(lo, r + _defect_margin(system, rhs - r * pure, sol.X)[0])
+    return scale * lo, "optimal" if hi - lo <= tol else "inconclusive"
 
 
 def _single_term_value(f: HomogeneousPolynomial) -> Optional[float]:
@@ -363,18 +334,20 @@ def min_h_eigenvalue(
             value, method, status = _form_value(f.restrict(block.variables), opts)
             per_block.append(BlockValue(block.variables, value, method, status))
         lam = min(b.value for b in per_block)
+        method = "blockwise"
         status = (
             "optimal"
             if all(b.status == "optimal" for b in per_block)
             else "inconclusive"
         )
     else:
-        lam, _, status = _form_value(f, opts)
+        lam, method, status = _form_value(f, opts)
 
     lam = max(lam, g)
     result = EigMinResult(
         lambda_min=lam,
         blockwise=use_blocks,
+        method=method,
         per_block=per_block,
         solver_status=status,
         gershgorin=g,

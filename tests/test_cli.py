@@ -197,6 +197,19 @@ class TestCliCommands:
         assert payload["lambda_min"] == pytest.approx(-1.0, abs=1e-4)
         assert payload["oracle_value"] == pytest.approx(-1.0, abs=1e-6)
 
+    def test_eigmin_reports_route(self, tmp_path, capsys):
+        path = tmp_path / "b0.json"
+        main(["gen", "random_class", "--cls", "b0", "--m", "4", "--n", "3",
+              "--seed", "40000", "--out", str(path)])
+        capsys.readouterr()
+        code = main(["eigmin", str(path), "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == EXIT_OK
+        assert (payload["method"], payload["solver_status"]) == ("sdp", "optimal")
+        assert abs(payload["lambda_min"] - payload["oracle_value"]) <= 1e-5
+        assert main(["eigmin", str(path)]) == EXIT_OK
+        assert "method: sdp" in capsys.readouterr().out
+
     def test_eigmin_degenerate_blockwise(self, tmp_path, capsys):
         path = tmp_path / "t.txt"
         main(["gen", "example53", "--m", "20", "--out", str(path)])

@@ -577,29 +577,6 @@ class TestGramOperator:
         rank = int(np.count_nonzero(w > 1e-7 * w[-1]))
         assert rank <= lambda_bound(4, 2)
 
-    def test_facial_reduction_with_exact_zero(self, monkeypatch):
-        # (x0 - x1)^2 (x0^2 + x1^2) + x2^4 vanishes at (1, 1, 0); every Gram
-        # matrix has z(1, 1, 0) in its kernel, and the reduced program
-        # (dense rows from the congruence P' E_alpha P) finds one
-        from sostensor import descent, sos
-
-        f = HomogeneousPolynomial(4, 3, {
-            (4, 0, 0): 1.0, (3, 1, 0): -2.0, (2, 2, 0): 2.0, (1, 3, 0): -2.0,
-            (0, 4, 0): 1.0, (0, 0, 4): 1.0,
-        })
-        zero = np.array([1.0, 1.0, 0.0])
-        monkeypatch.setattr(
-            sos, "sphere_minimize",
-            lambda *a, **k: descent.SphereMinimum(0.0, zero, 0.0, [zero]),
-        )
-        system = gram_system(3, 4)
-        Q = sos._facial_reduction_solve(f, system, 1e-9, CertifyOptions(max_iter=20_000))
-        assert Q is not None
-        resid = _constraint_values(Q, system) - system.rhs(f)
-        assert np.max(np.abs(resid)) <= 1e-8
-        assert np.linalg.norm(Q @ system.basis.evaluate(zero)) <= 1e-8
-        assert np.linalg.eigvalsh(0.5 * (Q + Q.T))[0] >= -1e-9
-
 
 def _spy_cauchy_gram(monkeypatch):
     from sostensor import sos

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sostensor import generators, spectral
-from sostensor.sos import gershgorin_lower_bound, gram_system
+from sostensor import generators, sdp, spectral
+from sostensor.sos import _dominance_margin, _term_arrays, gershgorin_lower_bound, gram_system
 from sostensor.spectral import (
     EigMinOptions,
     _pure_power_rows,
@@ -76,6 +76,15 @@ class TestMinEigenvalue:
     def test_identity(self):
         res = min_h_eigenvalue(identity_tensor(4, 3))
         assert res.lambda_min == pytest.approx(1.0, abs=1e-9)
+
+    def test_method_names_the_route(self):
+        A = generators.example54(8)
+        blockwise = min_h_eigenvalue(A)
+        mono = min_h_eigenvalue(A, EigMinOptions(blockwise="off", tol=1e-4))
+        assert (blockwise.method, mono.method) == ("blockwise", "sdp")
+        assert mono.to_dict()["method"] == "sdp"
+        single = min_h_eigenvalue(from_polynomial(z_blocks([31_000])[0]))
+        assert not single.blockwise and single.method == "z_sandwich"
 
     def test_odd_order_rejected(self):
         with pytest.raises(SpectralError):
@@ -225,6 +234,76 @@ class TestZSandwich:
         methods = [b["method"] for b in res.to_dict()["per_block"]]
         assert methods.count("z_sandwich") == 1
         assert set(methods) <= {"diagonal", "closed_form", "z_sandwich"}
+
+
+# the classes whose forms carry mixed terms of both signs, each at order 4,
+# dim 2 and class seed 40006 (criterion 7's draw)
+NON_Z_CLASSES = (
+    "cauchy_psd", "weak_diag_dominated", "b0", "double_b", "quasi_double_b0",
+    "mb0", "h_nonneg_diag", "abs_psd_z",
+)
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    solve = sdp.solve
+
+    def counting(problem, opts=None):
+        calls.append(problem)
+        return solve(problem, opts)
+
+    monkeypatch.setattr(sdp, "solve", counting)
+    return calls
+
+
+class TestMaxShiftSdp:
+    """The eigenvalue program as one objective solve, at most one certify
+    solve after it, and the AM-GM bound of the defect as the value."""
+
+    @staticmethod
+    def _check(A, opts, calls):
+        f = A.to_polynomial()
+        before = len(calls)
+        value, status = spectral._max_shift_sdp(f, opts)
+        assert len(calls) - before <= 2
+        val, _ = brute_force_min(A, seed=1)
+        assert value <= val + 1e-12 * (1 + abs(val))
+        if status == "optimal":
+            assert val - value <= opts.tol
+        return value, status
+
+    @pytest.mark.parametrize("name", NON_Z_CLASSES)
+    def test_class_forms_sound(self, monkeypatch, name):
+        A = generators.random_class_instance(name, 4, 2, 40_006)
+        assert any(c > 0 for c in A.to_polynomial().mixed_terms().values())
+        self._check(A, EigMinOptions(), _count_solves(monkeypatch))
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_mixed_sign_forms_sound(self, seed):
+        A = random_symmetric_tensor(np.random.default_rng(seed), 4, 3, density=0.6)
+        opts = EigMinOptions(seed=seed, use_closed_form=False)
+        with pytest.MonkeyPatch.context() as mp:
+            self._check(A, opts, _count_solves(mp))
+
+    def test_certify_solve_tightens_cauchy(self, monkeypatch):
+        # the objective solve alone certifies only -1.49e-4 here
+        A = generators.random_class_instance("cauchy_psd", 6, 3, 40_001)
+        calls = _count_solves(monkeypatch)
+        value, _ = self._check(A, EigMinOptions(), calls)
+        assert len(calls) == 2
+        assert value >= -1e-5
+
+    def test_iteration_cap_keeps_the_floor(self, monkeypatch):
+        A = generators.random_class_instance("cauchy_psd", 4, 2, 40_000)
+        f = A.to_polynomial()
+        exps, coeffs = _term_arrays(f)
+        floor = _dominance_margin(exps, coeffs, f.degree)
+        value, status = self._check(
+            A, EigMinOptions(max_iter=50), _count_solves(monkeypatch)
+        )
+        assert status == "inconclusive"
+        assert value >= floor - 1e-12 * (1 + abs(floor))
 
 
 class TestPositiveDefinite:
