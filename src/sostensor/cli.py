@@ -49,19 +49,16 @@ def _build_parser() -> _Parser:
 
     s = sub.add_parser("sos", help="sum-of-squares certification")
     s.add_argument("file")
-    s.add_argument("--blockwise", choices=("auto", "on", "off"), default="auto")
     common(s)
 
     e = sub.add_parser("eigmin", help="minimum H-eigenvalue")
     e.add_argument("file")
-    e.add_argument("--blockwise", choices=("auto", "on", "off"), default="auto")
     e.add_argument("--restarts", type=int, default=None)
     e.add_argument("--no-oracle", action="store_true")
     common(e)
 
     d = sub.add_parser("pd", help="positive definiteness test")
     d.add_argument("file")
-    d.add_argument("--blockwise", choices=("auto", "on", "off"), default="auto")
     d.add_argument("--restarts", type=int, default=None)
     common(d)
 
@@ -117,7 +114,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_sos(args) -> int:
     A = _read(args.file)
-    opts = sos.CertifyOptions(blockwise=args.blockwise, seed=args.seed or 20240801)
+    opts = sos.CertifyOptions(seed=args.seed or 20240801)
     result = sos.certify_sos(A, opts)
     lam = sos.lambda_bound(A.order, A.dim) if A.order % 2 == 0 else float("nan")
     if isinstance(result, sos.SosCertificate):
@@ -146,7 +143,6 @@ def _cmd_sos(args) -> int:
 
 def _eig_options(args) -> spectral.EigMinOptions:
     return spectral.EigMinOptions(
-        blockwise=args.blockwise,
         tol=args.tol,
         seed=args.seed or 7_652_413,
         with_oracle=not getattr(args, "no_oracle", False),

@@ -16,7 +16,7 @@ degree-m monomials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -256,9 +256,7 @@ class NotCertified:
 
 @dataclass
 class CertifyOptions:
-    blockwise: str = "auto"  # auto | on | off
     max_iter: int = 200_000
-    rank_threshold: float = 1e-7
     point_scan: bool = True
     seed: int = 20240801
 
@@ -782,16 +780,17 @@ def certify_sos(
 ) -> Union[SosCertificate, NotCertified]:
     """Search for a PSD Gram matrix reproducing the induced form of A.
 
-    Even order is required.  When the tensor carries extended-Z block
-    structure the blocks are certified independently in their own variables
+    Even order is required.  When the variables split into two or more
+    connected components (joined by shared mixed terms, the blocks of
+    `detect_extended_z`), each component is certified in its own variables
     and the certificates are merged, which keeps every Gram matrix at the
-    per-block size.  A certificate is returned only when every coefficient
-    of z' Q z lies within CERTIFICATE_TOL * (1 + max |coefficient|) of the
-    form's, in the form's variables and in variables scaled to unit pure
-    powers; the Gram SDP solves stop at half that tolerance.  Failure is
-    reported as `not_sos` only with evidence (a point with a strictly
-    negative value, or a verified separating certificate); anything else is
-    `inconclusive`.
+    per-component size; extended-Z structure plays no part.  A certificate
+    is returned only when every coefficient of z' Q z lies within
+    CERTIFICATE_TOL * (1 + max |coefficient|) of the form's, in the form's
+    variables and in variables scaled to unit pure powers; the Gram SDP
+    solves stop at half that tolerance.  Failure is reported as `not_sos`
+    only with evidence (a point with a strictly negative value, or a
+    verified separating certificate); anything else is `inconclusive`.
     """
     opts = options or CertifyOptions()
     if A.order % 2 != 0:
@@ -810,19 +809,9 @@ def certify_sos(
                 message=f"form evaluates to {val:.6g} < 0",
             )
 
-    use_blocks = False
-    blocks = None
-    if opts.blockwise in ("auto", "on"):
-        ext = detect_extended_z(A, f)
-        if ext.holds and len(ext.blocks) >= 2:
-            use_blocks = True
-            blocks = ext.blocks
-        elif opts.blockwise == "on" and ext.holds:
-            use_blocks = True
-            blocks = ext.blocks
-
-    if use_blocks and blocks is not None:
-        return _certify_blockwise(A, f, blocks, opts)
+    blocks = detect_extended_z(A, f).blocks
+    if len(blocks) >= 2:
+        return _certify_blockwise(f, blocks, opts)
     return _certify_monolithic(f, opts, c)
 
 
@@ -900,7 +889,7 @@ def _certify_monolithic(
                     )
                     p = system.basis.index_of(alpha)
                     Q[p, p] = c
-            squares, rank = extract_sos_terms(Q, system.basis, opts.rank_threshold)
+            squares, rank = extract_sos_terms(Q, system.basis)
             return SosCertificate(system.basis, Q, squares, rank, 0.0, "diagonal")
         i = int(np.argmin(coeffs))
         e = np.zeros(n)
@@ -922,13 +911,13 @@ def _certify_monolithic(
     else:
         Q = _amgm_gram(exps, scaling.rhs, system.basis)
     if Q is not None:
-        finished = _finish_certificate(Q, scaling, 1.0, opts, "amgm")
+        finished = _finish_certificate(Q, scaling, 1.0, "amgm")
         if isinstance(finished, SosCertificate):
             return finished
 
     if c is not None:
         Q = cauchy_gram(c, system.basis) / np.outer(s, s)
-        finished = _finish_certificate(Q, scaling, 1.0, opts, "cauchy")
+        finished = _finish_certificate(Q, scaling, 1.0, "cauchy")
         if isinstance(finished, SosCertificate):
             return finished
 
@@ -958,7 +947,7 @@ def _certify_monolithic(
             message="separating certificate found for the Gram system",
         )
 
-    finished = _finish_certificate(sol.X, scaling, scale, opts, "sdp")
+    finished = _finish_certificate(sol.X, scaling, scale, "sdp")
     if isinstance(finished, SosCertificate) or sol.status == sdp.OPTIMAL:
         # an iterate that met the stop rule is finished either way
         return finished
@@ -974,7 +963,6 @@ def _finish_certificate(
     X: np.ndarray,
     scaling: _Scaling,
     scale: float,
-    opts: CertifyOptions,
     method: str,
 ) -> Union[SosCertificate, NotCertified]:
     """Unscale, rank-reduce and check a Gram matrix of the scaled form g.
@@ -999,20 +987,24 @@ def _finish_certificate(
             f"(tolerance {scaling.tolerance:.3g})",
         )
     s = scaling.basis_scale
-    squares, rank = extract_sos_terms(Q, system.basis, opts.rank_threshold, s)
+    squares, rank = extract_sos_terms(Q, system.basis, basis_scale=s)
     return SosCertificate(
         system.basis, np.outer(s, s) * Q, squares, rank, residual, method
     )
 
 
 def _certify_blockwise(
-    A: SymmetricTensor,
     f: HomogeneousPolynomial,
     blocks,
     opts: CertifyOptions,
 ) -> Union[SosCertificate, NotCertified]:
+    """Certify each block's restriction of f and merge the certificates.
+
+    Blocks share no variable and no mixed term, so f is the sum of its
+    restrictions; setting the other blocks' variables to zero shows that f
+    is SOS only if every restriction is.
+    """
     n, m = f.dim, f.degree
-    sub_opts = replace(opts, blockwise="off")
     total_rank = 0
     residual = 0.0
     squares: List[HomogeneousPolynomial] = []
@@ -1023,7 +1015,7 @@ def _certify_blockwise(
     for block in blocks:
         vars_ = list(block.variables)
         sub = f.restrict(vars_)
-        result = _certify_monolithic(sub, sub_opts, cauchy_generator(sub))
+        result = _certify_monolithic(sub, opts, cauchy_generator(sub))
         if isinstance(result, NotCertified):
             if result.witness_point is not None:
                 lifted = np.zeros(n)

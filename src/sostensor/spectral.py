@@ -48,18 +48,23 @@ class SpectralError(ValueError):
     pass
 
 
+# multistart descent of the sphere probe in `_max_shift_sdp` and of the
+# negative-point search in `is_positive_definite`
+SCAN_RESTARTS = 60
+SCAN_ITERS = 400
+
+# `brute_force_min` refuses dimensions above this cap
+ORACLE_DIM_CAP = 8
+
+
 @dataclass
 class EigMinOptions:
-    blockwise: str = "auto"  # auto | on | off
     tol: float = 1e-6
     max_iter: int = 60_000
     use_closed_form: bool = True
     seed: int = 7_652_413
-    scan_restarts: int = 60
-    scan_iters: int = 400
     with_oracle: bool = False
     oracle_restarts: Optional[int] = None
-    dim_cap: int = 8
 
 
 @dataclass
@@ -73,13 +78,11 @@ class BlockValue:
 @dataclass
 class EigMinResult:
     lambda_min: float
-    blockwise: bool
     method: str  # blockwise, or the form's route (see BlockValue.method)
     per_block: Optional[List[BlockValue]]
     solver_status: str
     gershgorin: float
     exact: bool  # extended-Z structure detected, program value = eigenvalue
-    lower_bound_only: bool
     oracle_value: Optional[float] = None
     minimizer: Optional[np.ndarray] = None
     oracle_residual: Optional[float] = None
@@ -87,7 +90,6 @@ class EigMinResult:
     def to_dict(self) -> dict:
         return {
             "lambda_min": self.lambda_min,
-            "blockwise": self.blockwise,
             "method": self.method,
             "per_block": [
                 {
@@ -103,7 +105,6 @@ class EigMinResult:
             "solver_status": self.solver_status,
             "gershgorin_bound": self.gershgorin,
             "exact": self.exact,
-            "lower_bound_only": self.lower_bound_only,
             "oracle_value": self.oracle_value,
             "minimizer": None
             if self.minimizer is None
@@ -152,12 +153,14 @@ def _max_shift_sdp(
     t = min_i (a_i - w_i) of e, so r + t is certified whatever the solve's
     status (`_defect_margin`).  The solve stops once every coefficient of e is
     within tol / (2 K) of zero, K the number of coefficients, so
-    t >= -sum |e_alpha| >= -tol/2 costs at most half the tolerance.  The top is hi, the smallest of f's
-    diagonal coefficients and the best sphere value found by descent: both
-    are values of f on the unit m-norm sphere.  The status is `optimal` iff
-    hi - lo <= tol.  Only while that gap is open, one feasibility solve at
-    min(hi, r_hat) - 2 tol, warm-started from the projected iterate, offers
-    its own certified bound.
+    t >= -sum |e_alpha| >= -tol/2 costs at most half the tolerance.  The top
+    is hi, the smallest of f's diagonal coefficients and the best sphere
+    value found by descent: both are values of f on the unit m-norm sphere.
+    The status is `optimal` iff hi - lo <= tol.  Only while that gap is
+    open, one feasibility solve at r = min(hi, r_hat) - tol/2, warm-started
+    from the projected iterate, offers its own certified bound r + t.  When
+    it stops at its tolerance, t >= -tol/2 again, so lo >= min(hi, r_hat) -
+    tol and the gap closes whenever r_hat >= hi.
     """
     n, m = f.dim, f.degree
     scale = f.max_abs_coefficient() or 1.0
@@ -170,7 +173,7 @@ def _max_shift_sdp(
     rhs = system.rhs(fs)
     lo = _dominance_margin(np.array(system.alphas), rhs, m)
     probe = sphere_minimize(
-        fs, seed=opts.seed, restarts=opts.scan_restarts, iters=opts.scan_iters
+        fs, seed=opts.seed, restarts=SCAN_RESTARTS, iters=SCAN_ITERS
     )
     hi = min(mind, probe.value)
     tol = max(opts.tol / scale, 1e-14)
@@ -191,7 +194,7 @@ def _max_shift_sdp(
     t, P = _defect_margin(system, rhs - r_hat * pure, sol.X)
     lo = max(lo, r_hat + t)
     if hi - lo > tol:
-        r = min(hi, r_hat) - 2 * tol
+        r = min(hi, r_hat) - 0.5 * tol
         sol = sdp.solve(
             sdp.SdpProblem(N, 0, operator=system.operator, rhs=rhs - r * pure),
             sdp.SolveOptions(
@@ -242,11 +245,12 @@ def _z_sandwich(f: HomogeneousPolynomial, opts: EigMinOptions) -> Optional[float
     bound is lowered by the rounding of its float row sum: at most gamma_k
     times the row's absolute sum |A| u^(m-1), with k covering the products'
     factors and the row's summands (Higham 2002, section 3.1).  The bound
-    is returned once the gap is at most the tolerance in f's units.  On a
-    reducible form (decoupled components, which only `blockwise="off"`
-    sends here) u may underflow toward a Perron vector with zero entries,
-    or the Rayleigh quotient may weigh two components and close slowly; a
-    u that is no longer positive and finite, or the cap, returns None.
+    is returned once the gap is at most the tolerance in f's units.
+    `min_h_eigenvalue` sends only connected forms here.  On a reducible form
+    (decoupled components) u may underflow toward a Perron vector with zero
+    entries, or the Rayleigh quotient may weigh two components and close
+    slowly; a u that is no longer positive and finite, or the cap, returns
+    None.
     """
     n, m = f.dim, f.degree
     mixed = f.mixed_terms()
@@ -310,12 +314,14 @@ def min_h_eigenvalue(
 ) -> EigMinResult:
     """Minimum H-eigenvalue through the sum-of-squares program.
 
-    With blockwise enabled (default auto) the extended-Z partition is used to
-    decouple the program into per-block subproblems sharing the scalar shift;
-    the overall value is the minimum of the block values.  For tensors
-    without extended-Z structure the value is still a valid lower bound on
-    the minimum H-eigenvalue and is flagged `lower_bound_only`.  `form` is
-    A's induced form when the caller has already built it.
+    When the variables split into two or more connected components (joined
+    by shared mixed terms, the blocks of `detect_extended_z`), the program
+    decouples: f - r sum x_i^m is SOS iff every component's restriction is,
+    so the value is the minimum of the per-component values and `method` is
+    `blockwise`.  The value is always a valid lower bound on the minimum
+    H-eigenvalue; it is `exact` when extended-Z holds, where the program
+    value equals the eigenvalue.  `form` is A's induced form when the
+    caller has already built it.
     """
     opts = options or EigMinOptions()
     if A.order % 2 != 0:
@@ -324,11 +330,8 @@ def min_h_eigenvalue(
     g = gershgorin_lower_bound(A, f)
     ext = detect_extended_z(A, f)
 
-    use_blocks = ext.holds and (
-        opts.blockwise == "on" or (opts.blockwise == "auto" and len(ext.blocks) >= 2)
-    )
     per_block: Optional[List[BlockValue]] = None
-    if use_blocks:
+    if len(ext.blocks) >= 2:
         per_block = []
         for block in ext.blocks:
             value, method, status = _form_value(f.restrict(block.variables), opts)
@@ -346,15 +349,13 @@ def min_h_eigenvalue(
     lam = max(lam, g)
     result = EigMinResult(
         lambda_min=lam,
-        blockwise=use_blocks,
         method=method,
         per_block=per_block,
         solver_status=status,
         gershgorin=g,
         exact=ext.holds,
-        lower_bound_only=not ext.holds,
     )
-    if opts.with_oracle and A.dim <= opts.dim_cap:
+    if opts.with_oracle and A.dim <= ORACLE_DIM_CAP:
         val, x = brute_force_min(
             A,
             restarts=opts.oracle_restarts,
@@ -410,8 +411,8 @@ def is_positive_definite(
     hit = sphere_minimize(
         f,
         seed=opts.seed + 3,
-        restarts=opts.scan_restarts,
-        iters=opts.scan_iters,
+        restarts=SCAN_RESTARTS,
+        iters=SCAN_ITERS,
         stop_below=-PD_TOL * scale,
     )
     if hit.value < -PD_TOL * scale:
@@ -424,7 +425,7 @@ def brute_force_min(
     restarts: Optional[int] = None,
     seed: int = 0,
     iters: int = 600,
-    dim_cap: int = 8,
+    dim_cap: int = ORACLE_DIM_CAP,
 ) -> Tuple[float, np.ndarray]:
     """Independent minimization oracle over the unit m-norm sphere.
 

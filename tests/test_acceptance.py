@@ -23,6 +23,7 @@ from sostensor.sos import (
 )
 from sostensor.spectral import (
     EigMinOptions,
+    _form_value,
     brute_force_min,
     generate_procedure1,
     is_positive_definite,
@@ -74,16 +75,17 @@ def test_criterion_3_quartic_family():
     details = []
     ok = True
     for n in (4, 8, 20):
-        res = min_h_eigenvalue(
-            generators.example54(n), EigMinOptions(blockwise="off", tol=1e-4)
+        # one program over all n variables, not split on the blocks
+        value, _, _ = _form_value(
+            generators.example54(n).to_polynomial(), EigMinOptions(tol=1e-4)
         )
-        err = abs(res.lambda_min - (n - 1))
-        ok = ok and err <= 1e-3 and not res.blockwise
+        err = abs(value - (n - 1))
+        ok = ok and err <= 1e-3
         details.append(f"n={n} mono err={err:.1e}")
     for n in (100, 500):
-        res = min_h_eigenvalue(generators.example54(n), EigMinOptions(blockwise="on"))
+        res = min_h_eigenvalue(generators.example54(n))
         err = abs(res.lambda_min - (n - 1))
-        ok = ok and err <= 1e-3 and res.blockwise
+        ok = ok and err <= 1e-3 and res.method == "blockwise"
         details.append(f"n={n} block err={err:.1e}")
     report(3, ok, "; ".join(details))
 
@@ -94,7 +96,7 @@ def test_criterion_4_degenerate_zero():
     methods = {b.method for b in res.per_block}
     report(
         4,
-        err <= 1e-5 and res.blockwise,
+        err <= 1e-5 and res.method == "blockwise",
         f"lambda_min={res.lambda_min:.2e} via blocks {sorted(methods)}",
     )
 

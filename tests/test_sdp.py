@@ -177,17 +177,18 @@ class TestExampleFamilySdp:
         # force the semidefinite path on the 4-variable blocks; the program
         # value must match n - 1 within 1e-3 for each size
         from sostensor import generators, spectral
+        from sostensor.structured import detect_extended_z
 
+        opts = spectral.EigMinOptions(use_closed_form=False, tol=1e-5)
         for n in (4, 8, 20):
             A = generators.example54(n)
-            res = spectral.min_h_eigenvalue(
-                A,
-                spectral.EigMinOptions(
-                    blockwise="on", use_closed_form=False, tol=1e-5
-                ),
-            )
-            assert res.lambda_min == pytest.approx(n - 1, abs=1e-3)
-            assert all(b.method == "sdp" for b in res.per_block)
+            f = A.to_polynomial()
+            blocks = [
+                spectral._form_value(f.restrict(b.variables), opts)
+                for b in detect_extended_z(A).blocks
+            ]
+            assert min(value for value, _, _ in blocks) == pytest.approx(n - 1, abs=1e-3)
+            assert all(method == "sdp" for _, method, _ in blocks)
 
 
 def gram_problem(dim=3, order=4, seed=40004):

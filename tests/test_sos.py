@@ -138,13 +138,12 @@ class TestCertify:
 
     def test_blockwise_matches_structure(self):
         A = generators.example51().shift_diagonal(1.5)
-        cert = certify_sos(A, CertifyOptions(blockwise="auto"))
+        cert = certify_sos(A)
         assert isinstance(cert, SosCertificate)
+        assert cert.method == "blockwise"
         assert cert.block_structure == [(0, 1), (2, 3)]
 
     def test_blockwise_gram_is_lifted_block_grams(self):
-        from dataclasses import replace
-
         from sostensor.sos import _certify_monolithic
         from sostensor.structured import detect_extended_z
         from sostensor.tensor import SymmetricTensor
@@ -163,9 +162,7 @@ class TestCertify:
         covered = np.zeros(cert.gram.shape, dtype=bool)
         for block in blocks:
             sub = f.restrict(block.variables)
-            own = _certify_monolithic(
-                sub, replace(CertifyOptions(), blockwise="off"), cauchy_generator(sub)
-            )
+            own = _certify_monolithic(sub, CertifyOptions(), cauchy_generator(sub))
             lift = []
             for alpha in own.basis.exponents:
                 full = [0] * n
@@ -336,7 +333,8 @@ class TestSingleMixedTerm:
         terms[tuple(a)] = -mu
         A = poly_tensor(d2, n, terms)
         verdict = single_mixed_term_sos(b, list(a), mu)
-        res = certify_sos(A, CertifyOptions(blockwise="off"))
+        f = A.to_polynomial()
+        res = sos._certify_monolithic(f, CertifyOptions(), cauchy_generator(f))
         assert isinstance(res, SosCertificate) == verdict
 
 
@@ -941,7 +939,8 @@ class TestAmgmRoute:
         A = from_polynomial(f)
         with pytest.MonkeyPatch.context() as mp:
             calls = _count_solves(mp)
-            cert = certify_sos(A, CertifyOptions(blockwise="off"))
+            g = A.to_polynomial()
+            cert = sos._certify_monolithic(g, CertifyOptions(), cauchy_generator(g))
         assert isinstance(cert, SosCertificate)
         assert cert.method == "amgm"
         assert calls == []
@@ -1007,7 +1006,8 @@ class TestCertificateMethod:
     """Every certificate names the route that built it."""
 
     def test_diagonal(self):
-        cert = certify_sos(identity_tensor(4, 3), CertifyOptions(blockwise="off"))
+        f = identity_tensor(4, 3).to_polynomial()
+        cert = sos._certify_monolithic(f, CertifyOptions(), cauchy_generator(f))
         assert cert.method == "diagonal"
 
     def test_amgm(self):
@@ -1040,14 +1040,13 @@ class TestCertificateMethod:
         f = A.to_polynomial()
         for block, method in zip(cert.block_structure, cert.block_methods):
             sub = f.restrict(block)
-            own = sos._certify_monolithic(
-                sub, CertifyOptions(blockwise="off"), cauchy_generator(sub)
-            )
+            own = sos._certify_monolithic(sub, CertifyOptions(), cauchy_generator(sub))
             assert own.method == method
         assert sorted(cert.block_methods) == ["diagonal", "sdp"]
 
     def test_monolithic_to_dict(self):
-        payload = certify_sos(
-            identity_tensor(4, 2), CertifyOptions(blockwise="off")
+        f = identity_tensor(4, 2).to_polynomial()
+        payload = sos._certify_monolithic(
+            f, CertifyOptions(), cauchy_generator(f)
         ).to_dict()
         assert payload["method"] == "diagonal" and payload["block_methods"] is None

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sostensor import generators, sdp, spectral
+from sostensor import generators, sdp, sos, spectral
 from sostensor.sos import _dominance_margin, _term_arrays, gershgorin_lower_bound, gram_system
 from sostensor.spectral import (
     EigMinOptions,
@@ -14,7 +14,7 @@ from sostensor.spectral import (
     is_positive_definite,
     min_h_eigenvalue,
 )
-from sostensor.structured import detect_extended_z
+from sostensor.structured import cauchy_generator, detect_extended_z
 from sostensor.tensor import (
     HomogeneousPolynomial,
     SymmetricTensor,
@@ -63,11 +63,11 @@ class TestMinEigenvalue:
 
     def test_blockwise_and_monolithic_agree(self):
         A = generators.example54(8)
-        blockwise = min_h_eigenvalue(A, EigMinOptions(blockwise="on"))
-        mono = min_h_eigenvalue(A, EigMinOptions(blockwise="off", tol=1e-4))
-        assert blockwise.blockwise and not mono.blockwise
+        blockwise = min_h_eigenvalue(A)
+        mono, _, _ = spectral._form_value(A.to_polynomial(), EigMinOptions(tol=1e-4))
+        assert blockwise.method == "blockwise"
         assert blockwise.lambda_min == pytest.approx(7.0, abs=1e-6)
-        assert mono.lambda_min == pytest.approx(7.0, abs=1e-3)
+        assert mono == pytest.approx(7.0, abs=1e-3)
 
     def test_degenerate_zero_value(self):
         res = min_h_eigenvalue(generators.example53(10), EigMinOptions(tol=1e-7))
@@ -80,11 +80,11 @@ class TestMinEigenvalue:
     def test_method_names_the_route(self):
         A = generators.example54(8)
         blockwise = min_h_eigenvalue(A)
-        mono = min_h_eigenvalue(A, EigMinOptions(blockwise="off", tol=1e-4))
-        assert (blockwise.method, mono.method) == ("blockwise", "sdp")
-        assert mono.to_dict()["method"] == "sdp"
+        _, mono, _ = spectral._form_value(A.to_polynomial(), EigMinOptions(tol=1e-4))
+        assert (blockwise.method, mono) == ("blockwise", "sdp")
         single = min_h_eigenvalue(from_polynomial(z_blocks([31_000])[0]))
-        assert not single.blockwise and single.method == "z_sandwich"
+        assert single.method == "z_sandwich"
+        assert single.to_dict()["method"] == "z_sandwich"
 
     def test_odd_order_rejected(self):
         with pytest.raises(SpectralError):
@@ -201,18 +201,31 @@ class TestZSandwich:
         assert spectral._z_sandwich(f, EigMinOptions()) is None
         assert spectral._form_value(f, EigMinOptions()) == (sdp_value, "sdp", "optimal")
 
-    def test_reducible_form_falls_back_to_sdp(self):
-        # two decoupled components whose minima differ by 1e-3: the
-        # Rayleigh quotient weighs both and closes too slowly for the cap
+    def test_reducible_form_falls_back_to_sdp(self, monkeypatch):
+        # two decoupled components whose minima differ by 1e-3: on the joined
+        # form the Rayleigh quotient weighs both and closes too slowly for
+        # the cap, so the joined form falls back to the SDP
         A = poly_tensor(4, 4, {
             (4, 0, 0, 0): 1, (0, 4, 0, 0): 1, (2, 2, 0, 0): -1.0,
             (0, 0, 4, 0): 1, (0, 0, 0, 4): 1, (0, 0, 2, 2): -1.002,
         })
-        assert spectral._z_sandwich(A.to_polynomial(), EigMinOptions()) is None
-        got = min_h_eigenvalue(A, EigMinOptions(blockwise="off"))
-        sdp = min_h_eigenvalue(A, EigMinOptions(blockwise="off", use_closed_form=False))
-        assert got.lambda_min == sdp.lambda_min
-        assert got.solver_status == sdp.solver_status
+        f = A.to_polynomial()
+        assert spectral._z_sandwich(f, EigMinOptions()) is None
+        got = spectral._form_value(f, EigMinOptions())
+        sdp_value = spectral._form_value(f, EigMinOptions(use_closed_form=False))
+        assert got == sdp_value
+        # min_h_eigenvalue splits it; each component carries one mixed term
+        # and takes its closed form (the minimum, at x3 = x4, is 1 - 1.002 / 2)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("sdp.solve ran")
+
+        monkeypatch.setattr(sdp, "solve", no_solve)
+        res = min_h_eigenvalue(A)
+        assert res.method == "blockwise"
+        assert [b.method for b in res.per_block] == ["closed_form"] * 2
+        assert res.solver_status == "optimal"
+        assert res.lambda_min == pytest.approx(0.499, abs=1e-6)
 
     def test_single_block_takes_sandwich_in_auto_mode(self, monkeypatch):
         f = z_blocks([31_000])[0]
@@ -224,7 +237,7 @@ class TestZSandwich:
 
         monkeypatch.setattr(spectral, "_max_shift_sdp", no_sdp)
         res = min_h_eigenvalue(A)
-        assert not res.blockwise and res.solver_status == "optimal"
+        assert res.method == "z_sandwich" and res.solver_status == "optimal"
         val, _ = brute_force_min(A, seed=3)
         assert val - 1e-6 <= res.lambda_min <= val + 1e-12 * abs(val)
 
@@ -294,6 +307,16 @@ class TestMaxShiftSdp:
         assert len(calls) == 2
         assert value >= -1e-5
 
+    def test_feasibility_solve_closes_cauchy_gap(self):
+        # the gap closes only if the feasibility solve sits less than tol
+        # below min(hi, r_hat); 2 tol below, this form stays at about -2 tol
+        A = generators.random_class_instance("cauchy_psd", 4, 3, 40_016)
+        res = min_h_eigenvalue(A)
+        assert res.method == "sdp"
+        assert res.solver_status == "optimal"
+        val, _ = brute_force_min(A, seed=1)
+        assert res.lambda_min <= val + 1e-12 * (1 + abs(res.lambda_min))
+
     def test_iteration_cap_keeps_the_floor(self, monkeypatch):
         A = generators.random_class_instance("cauchy_psd", 4, 2, 40_000)
         f = A.to_polynomial()
@@ -304,6 +327,54 @@ class TestMaxShiftSdp:
         )
         assert status == "inconclusive"
         assert value >= floor - 1e-12 * (1 + abs(floor))
+
+
+class TestComponentSplit:
+    """A reducible form that fails extended-Z still splits on its variable
+    components: x1, x2 carry mixed terms of both signs, and x3, x4, x5 are a
+    Z-block."""
+
+    A = poly_tensor(4, 5, {
+        (4, 0, 0, 0, 0): 1, (0, 4, 0, 0, 0): 1,
+        (3, 1, 0, 0, 0): 0.5, (2, 2, 0, 0, 0): -0.4,
+        (0, 0, 4, 0, 0): 1, (0, 0, 0, 4, 0): 1, (0, 0, 0, 0, 4): 1,
+        (0, 0, 2, 1, 1): -0.3, (0, 0, 0, 2, 2): -0.2,
+    })
+    COMPONENTS = [(0, 1), (2, 3, 4)]
+
+    def test_structure(self):
+        ext = detect_extended_z(self.A)
+        assert not ext.holds
+        assert ext.partition == self.COMPONENTS
+
+    def test_certificate_splits(self):
+        cert = sos.certify_sos(self.A)
+        assert isinstance(cert, sos.SosCertificate)
+        assert cert.method == "blockwise"
+        assert cert.block_structure == self.COMPONENTS
+        f = self.A.to_polynomial()
+        own = []
+        for block in self.COMPONENTS:
+            sub = f.restrict(block)
+            own.append(
+                sos._certify_monolithic(sub, sos.CertifyOptions(), cauchy_generator(sub)).method
+            )
+        assert cert.block_methods == own
+
+    def test_eigenvalue_splits(self):
+        res = min_h_eigenvalue(self.A)
+        f = self.A.to_polynomial()
+        values = [
+            spectral._form_value(f.restrict(block), EigMinOptions())
+            for block in self.COMPONENTS
+        ]
+        assert res.method == "blockwise"
+        assert [b.method for b in res.per_block] == [method for _, method, _ in values]
+        assert res.per_block[1].method == "z_sandwich"
+        assert res.lambda_min == min(value for value, _, _ in values)
+        assert res.exact is False
+        val, _ = brute_force_min(self.A, seed=1)
+        assert res.lambda_min <= val + 1e-12 * (1 + abs(res.lambda_min))
 
 
 class TestPositiveDefinite:
