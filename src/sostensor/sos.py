@@ -37,6 +37,7 @@ from .tensor import (
     Number,
     SymmetricTensor,
     exponent_multiplicity,
+    term_arrays,
 )
 
 
@@ -432,7 +433,7 @@ def gershgorin_lower_bound(
     f = A.to_polynomial() if form is None else form
     if not f.dim:
         return 0.0
-    exps, coeffs = _term_arrays(f)
+    exps, coeffs = term_arrays(f)
     # a pure power's alpha_i / m is 1 in its own row and 0 elsewhere
     pure = exps.max(axis=1) == f.degree
     return float(np.min(exps.T @ np.where(pure, coeffs, -np.abs(coeffs)) / f.degree))
@@ -583,14 +584,6 @@ def _unit_power_scale(f: HomogeneousPolynomial) -> np.ndarray:
     return d
 
 
-def _term_arrays(f: HomogeneousPolynomial) -> Tuple[np.ndarray, np.ndarray]:
-    """f's exponent vectors as integer rows and its coefficients as floats,
-    in term order."""
-    exps = np.array(list(f.terms), dtype=np.int64).reshape(len(f.terms), f.dim)
-    coeffs = np.fromiter(map(float, f.terms.values()), dtype=float, count=len(f.terms))
-    return exps, coeffs
-
-
 def _weak_offsum(exps: np.ndarray, coeffs: np.ndarray, m: int) -> np.ndarray:
     """w_i = sum of |b_alpha| * alpha_i / m over the mixed terms b x^alpha,
     leaving out those with b > 0 and every alpha_i even.
@@ -650,7 +643,7 @@ def _negative_point_scan(
     """
     m = f.degree
     d = _unit_power_scale(f)
-    exps, coeffs_f = _term_arrays(f)
+    exps, coeffs_f = term_arrays(f)
     coeffs = coeffs_f / np.prod(d ** exps, axis=1)
     cut = -1e-9 * (1.0 + float(np.max(np.abs(coeffs), initial=0.0)))
     if max(_dominance_margin(exps, coeffs_f, m), _dominance_margin(exps, coeffs, m)) >= 0:

@@ -40,7 +40,7 @@ from .sos import (
     gram_system,
     max_diagonal_shift_single_term,
 )
-from .structured import detect_extended_z
+from .structured import detect_extended_z, pure_and_mixed
 from .tensor import HomogeneousPolynomial, SymmetricTensor, eigen_residual
 
 
@@ -253,10 +253,8 @@ def _z_sandwich(f: HomogeneousPolynomial, opts: EigMinOptions) -> Optional[float
     None.
     """
     n, m = f.dim, f.degree
-    mixed = f.mixed_terms()
-    diag = np.array([float(f.diagonal_coefficient(i)) for i in range(n)])
-    exps = np.array(list(mixed), dtype=float)
-    offsum = np.abs(np.array([float(c) for c in mixed.values()])) @ exps / m
+    diag, exps, coeffs = pure_and_mixed(f)
+    offsum = np.abs(coeffs) @ exps.astype(float) / m
     c = float(np.max(diag) + np.max(offsum))
     tol = max(opts.tol, 1e-14 * f.max_abs_coefficient())
     slack = 2.0 * m * (len(f.terms) + 2) * np.finfo(float).eps

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -27,13 +27,9 @@ from .tensor import (
     Index,
     Number,
     SymmetricTensor,
-    TensorError,
-    all_one_tensor,
-    comparison_tensor,
     exponent_multiplicity,
-    identity_tensor,
     multiplicity,
-    partially_all_one,
+    term_arrays,
 )
 
 BOUNDARY_TOL = 1e-9
@@ -84,14 +80,6 @@ def delta_index_set(A: SymmetricTensor) -> Set[Exponent]:
 
 # ---------------------------------------------------------------------------
 # row tables over canonical storage
-#
-# The number of row-i tuples (i, i2, ..., im) that sort to a canonical index
-# idx containing i with count c_i is multiplicity(idx) * c_i / m.
-
-
-def _row_tuple_count(idx: Index, i: int, order: int) -> int:
-    c = idx.count(i)
-    return multiplicity(idx) * c // order if c else 0
 
 
 @dataclass(frozen=True)
@@ -115,8 +103,10 @@ class RowTables:
 def row_tables(A: SymmetricTensor) -> RowTables:
     """All row quantities from one pass over the canonical entries.
 
-    Each row accumulates its terms in entry order starting from int 0, so
-    exact (int, Fraction) entries give exact sums.
+    The row-i tuples (i, i2, ..., im) that sort to a canonical index idx
+    containing i with count c_i number multiplicity(idx) * c_i / m.  Each
+    row accumulates its terms in entry order starting from int 0, so exact
+    (int, Fraction) entries give exact sums.
     """
     n, m = A.dim, A.order
     absolute: List[Number] = [0] * n
@@ -345,6 +335,7 @@ def classify_b_family(
     B: SymmetricTensor,
     tol: float = BOUNDARY_TOL,
     power_iter_cap: int = 200_000,
+    form: Optional[HomogeneousPolynomial] = None,
 ) -> BFamilyVerdict:
     """Verdicts for double-B, quasi-double-B0 and MB0 membership.
 
@@ -356,9 +347,10 @@ def classify_b_family(
 
     MB0: the row-shifted tensor a[i1..im] = b[i1..im] - beta[i1] is an
     M-tensor, tested as s >= spectral radius of s I - (shifted tensor); the
-    shifted operator is applied implicitly so the dense shift never needs to
-    be materialized.  If the power iteration stalls, `mb0` is None, the
-    verdict is flagged boundary and `details` carries the last bracket.
+    shifted operator is applied from B's induced form (`form`, when the
+    caller has built it) plus the rank-one shift, so the dense shift never
+    needs to be materialized.  If the power iteration stalls, `mb0` is None,
+    the verdict is flagged boundary and `details` carries the last bracket.
     """
     n = B.dim
     beta, delta, delta_ij, tail = _double_b(B)
@@ -390,7 +382,7 @@ def classify_b_family(
     quasi_double_b0 = positive_gap and quasi
 
     try:
-        mb0, mb0_boundary, s_val, rho_val = _mb0_check(B, beta, tol, power_iter_cap)
+        mb0, mb0_boundary, s_val, rho_val = _mb0_check(B, beta, tol, power_iter_cap, form)
         mb0_details = {"s": s_val, "rho": rho_val}
     except PowerIterationError as exc:
         # no verdict without a converged radius; the bracket is the evidence
@@ -411,19 +403,22 @@ def classify_b_family(
 
 
 def _mb0_check(
-    B: SymmetricTensor, beta: np.ndarray, tol: float, max_iter: int
+    B: SymmetricTensor,
+    beta: np.ndarray,
+    tol: float,
+    max_iter: int,
+    form: Optional[HomogeneousPolynomial] = None,
 ) -> Tuple[bool, bool, float, float]:
-    n, m = B.dim, B.order
-    diag_shift = np.array([float(B.diagonal_entry(i)) - beta[i] for i in range(n)])
-    s = max(0.0, float(np.max(diag_shift)) if n else 0.0)
-
-    def apply_z(x: np.ndarray) -> np.ndarray:
-        # Z = s I - (B - rowwise beta); the shift contributes beta_i (sum x)^(m-1)
-        sx = float(np.sum(x)) ** (m - 1)
-        return s * x ** (m - 1) - B.apply(x) + beta * sx
-
+    f = B.to_polynomial() if form is None else form
+    b, exps, coeffs = pure_and_mixed(f)
+    s = max(0.0, float(np.max(b - beta)))
+    # Z = s I - (B - rowwise beta); the shift contributes beta_i (sum x)^(m-1),
+    # which joins every variable into one component
+    shift = beta if np.any(beta > 0) else None
+    labels = variable_components(f) if shift is None else [0] * B.dim
+    Z = _row_operator(exps, -coeffs, B.order, s - b, shift)
     scale = s + float(np.max(beta)) + 1.0
-    rho, _ = _spectral_radius_from_apply(apply_z, n, m, scale, tol, max_iter)
+    rho, _ = _spectral_radius(Z, labels, scale, tol, max_iter)
     band = tol * (1.0 + s + abs(rho))
     mb0 = rho <= s + band
     boundary = abs(rho - s) <= band
@@ -434,16 +429,132 @@ def _mb0_check(
 # spectral radius of nonnegative tensors
 
 
-def _spectral_radius_from_apply(
-    apply_fn: Callable[[np.ndarray], np.ndarray],
-    n: int,
+def pure_and_mixed(f: HomogeneousPolynomial) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """a with a_i the coefficient of x_i^m in f (0 when absent), and the
+    exponent rows and float coefficients of f's mixed terms, in term order
+    (see `term_arrays`)."""
+    exps, coeffs = term_arrays(f)
+    pure = exps.max(axis=1) == f.degree
+    a = np.zeros(f.dim)
+    a[np.argmax(exps[pure], axis=1)] = coeffs[pure]
+    return a, exps[~pure], coeffs[~pure]
+
+
+@dataclass(frozen=True)
+class _RowOperator:
+    """The map x -> T x^(m-1) of an order-m tensor, compiled into a table.
+
+    Row i of the image is
+
+        shift_i (sum x)^(m-1) + sum over the table rows r with target_r = i
+                                of weight_r * prod(x[slots_r]).
+
+    The table holds each term c x^alpha once per variable v of its support:
+    target v, weight c alpha_v / m, and the m-1 slots of x^alpha / x_v.  It
+    is thus 1/m times the gradient of the terms' form, and one step is a
+    gather, a product and a bincount.  `shift` is an optional rank-one part.
+    """
+
+    dim: int
+    order: int
+    target: np.ndarray
+    slots: np.ndarray
+    weight: np.ndarray
+    shift: Optional[np.ndarray] = None
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        y = np.bincount(
+            self.target, self.weight * x[self.slots].prod(axis=1), minlength=self.dim
+        )
+        if self.shift is not None:
+            y += self.shift * float(x.sum()) ** (self.order - 1)
+        return y
+
+    def split(self, labels: Sequence[int]) -> List[Tuple[np.ndarray, "_RowOperator"]]:
+        """The operator on each variable component, in local indices.
+
+        `labels` gives each variable's component as its smallest variable
+        (`variable_components`); every table row lies inside the component of
+        its target.  Components come in order of their smallest variable,
+        each with its variables ascending.
+        """
+        if len(set(labels)) == 1:
+            return [(np.arange(self.dim), self)]
+        roots, comp = np.unique(labels, return_inverse=True)
+        members = np.argsort(comp, kind="stable")
+        starts = np.searchsorted(comp[members], np.arange(roots.size + 1))
+        local = np.empty(self.dim, dtype=np.intp)
+        local[members] = np.arange(self.dim) - starts[comp[members]]
+        row_comp = comp[self.target]
+        rows = np.argsort(row_comp, kind="stable")
+        row_starts = np.searchsorted(row_comp[rows], np.arange(roots.size + 1))
+        out = []
+        for k in range(roots.size):
+            vs = members[starts[k]:starts[k + 1]]
+            r = rows[row_starts[k]:row_starts[k + 1]]
+            out.append((vs, _RowOperator(
+                vs.size, self.order, local[self.target[r]], local[self.slots[r]],
+                self.weight[r], None if self.shift is None else self.shift[vs],
+            )))
+        return out
+
+
+def _row_operator(
+    exps: np.ndarray,
+    coeffs: np.ndarray,
     order: int,
+    diag: Optional[np.ndarray] = None,
+    shift: Optional[np.ndarray] = None,
+) -> _RowOperator:
+    """Compile the terms coeffs x^exps (rows of exponents), plus the pure
+    powers diag_i x_i^m when given, and the rank-one shift; see
+    `_RowOperator`."""
+    if diag is not None:
+        exps = np.vstack([exps, order * np.eye(exps.shape[1], dtype=exps.dtype)])
+        coeffs = np.concatenate([coeffs, diag])
+    T, n = exps.shape
+    # each term's m slots, ascending; the first of a run of equal slots
+    # stands for its variable, with the run length as alpha_v
+    slots = np.repeat(np.tile(np.arange(n), T), exps.ravel()).reshape(T, order)
+    first = np.ones((T, order), dtype=bool)
+    first[:, 1:] = slots[:, 1:] != slots[:, :-1]
+    t, k = np.nonzero(first)
+    target = slots[t, k]
+    others = slots[t][~np.eye(order, dtype=bool)[k]].reshape(t.size, order - 1)
+    weight = coeffs[t] * (exps[t, target] / order)
+    return _RowOperator(n, order, target, others, weight, shift)
+
+
+def _spectral_radius(
+    op: _RowOperator,
+    labels: Sequence[int],
     scale: float,
     tol: float,
     max_iter: int,
 ) -> Tuple[float, np.ndarray]:
-    """Dominant eigenvalue of a nonnegative multilinear operator, and the
-    positive iterate x whose Collatz ratios bracketed it last.
+    """Dominant eigenvalue of a nonnegative operator, and a positive witness.
+
+    The variable components (`labels`, see `_RowOperator.split`) decouple the
+    operator, so the radius is the largest of the components' radii, each
+    from `_collatz_radius`.  The witness x > 0 holds each component's last
+    iterate, the whole rescaled to unit m-norm.
+    """
+    parts = op.split(labels)
+    x = np.empty(len(labels))
+    rho = -math.inf
+    for vs, sub in parts:
+        r, x[vs] = _collatz_radius(sub, scale, tol, max_iter)
+        rho = max(rho, r)
+    if len(parts) > 1:
+        x /= np.sum(x ** op.order) ** (1.0 / op.order)
+    return rho, x
+
+
+def _collatz_radius(
+    op: _RowOperator, scale: float, tol: float, max_iter: int
+) -> Tuple[float, np.ndarray]:
+    """Dominant eigenvalue of a nonnegative operator, and the positive
+    iterate x whose Collatz ratios bracketed it last.
 
     Power iteration with componentwise min/max Collatz ratios brackets the
     radius for entrywise-positive operators.  A nonnegative operator is made
@@ -452,32 +563,34 @@ def _spectral_radius_from_apply(
     correction.  This sidesteps reducible inputs (block-diagonal patterns)
     for which plain iteration stalls.
     """
+    n, order = op.dim, op.order
     if n == 1:
         x = np.ones(1)
-        return float(apply_fn(x)[0]), x
+        return float(op(x)[0]), x
     nm1 = n ** (order - 1)
     abs_tol = max(tol * max(scale, 1.0), 1e-300)
     eps = abs_tol / (4.0 * nm1)
-
-    def apply_pos(x: np.ndarray) -> np.ndarray:
-        return apply_fn(x) + eps * float(np.sum(x)) ** (order - 1)
-
+    # eps times the all-one operator is eps (sum x)^(m-1) in every row
+    positive = replace(op, shift=np.full(n, eps) if op.shift is None else op.shift + eps)
     p = order - 1
     x = np.full(n, n ** (-1.0 / order))
     lo_best, hi_best = -np.inf, np.inf
+    # ndarray methods rather than the np.* wrappers: a step is a dozen
+    # reductions of a few entries, where the wrappers' overhead dominates
     for it in range(max_iter):
-        y = apply_pos(x)
-        if not np.all(np.isfinite(y)):
+        y = positive(x)
+        if not np.isfinite(y).all():
             raise PowerIterationError(lo_best, hi_best, it)
         ratios = y / x ** p
-        lo, hi = float(np.min(ratios)), float(np.max(ratios))
+        lo, hi = float(ratios.min()), float(ratios.max())
         lo_best, hi_best = max(lo_best, lo), min(hi_best, hi)
         # a bracket within rounding of its own magnitude cannot narrow further
         if hi_best - lo_best <= max(abs_tol / 2.0, 8 * _EPS * abs(hi_best)):
             mid = 0.5 * (lo_best + hi_best)
             return mid - 0.5 * eps * nm1, x
         x = np.maximum(y, 1e-300) ** (1.0 / p)
-        x = x / np.linalg.norm(x, ord=order)
+        # the m-norm as np.linalg.norm computes it, for x > 0
+        x = x / (x ** order).sum() ** (1.0 / order)
     raise PowerIterationError(lo_best, hi_best, max_iter)
 
 
@@ -496,11 +609,10 @@ def spectral_radius_nonnegative(
         if fv < 0:
             raise ClassificationError(f"negative entry {v} at {idx}")
         worst = max(worst, fv)
-    if worst == 0.0:
-        return 0.0
-    return _spectral_radius_from_apply(
-        lambda x: Z.apply(x), Z.dim, Z.order, worst, tol, max_iter
-    )[0]
+    f = Z.to_polynomial()
+    a, exps, coeffs = pure_and_mixed(f)
+    op = _row_operator(exps, coeffs, Z.order, a)
+    return _spectral_radius(op, variable_components(f), worst, tol, max_iter)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -519,14 +631,19 @@ class HVerdict:
 
 
 def is_h_tensor(
-    A: SymmetricTensor, tol: float = BOUNDARY_TOL, max_iter: int = 200_000
+    A: SymmetricTensor,
+    tol: float = BOUNDARY_TOL,
+    max_iter: int = 200_000,
+    form: Optional[HomogeneousPolynomial] = None,
 ) -> HVerdict:
     """H-tensor test through the comparison tensor.
 
     Writes the comparison tensor as s I - Z with s the largest absolute
     diagonal entry and Z nonnegative; membership holds when the spectral
-    radius of Z does not exceed s (nonsingular when strictly below).  For a
-    nonsingular verdict the last iterate y > 0 of that power iteration is
+    radius of Z does not exceed s (nonsingular when strictly below).  Z is
+    applied from A's induced form (`form`, when the caller has built it):
+    s - |a_ii| on the diagonal and the mixed terms' absolute values.  For a
+    nonsingular verdict the witness y > 0 of that power iteration is
     verified directly against the row inequalities
 
         |a[i..i]| y_i^{m-1} > sum over off tuples |a[i,...]| y_{i2} ... y_{im}
@@ -535,17 +652,17 @@ def is_h_tensor(
     band are flagged boundary.
     """
     n, m = A.dim, A.order
-    s = max((abs(float(A.diagonal_entry(i))) for i in range(n)), default=0.0)
-    MA = comparison_tensor(A)
-    Z = identity_tensor(m, n).scale(s) - MA
-    worst = max((abs(float(v)) for v in Z.entries.values()), default=0.0)
-    if worst == 0.0:
-        rho = 0.0
-        x = np.ones(n)
-    else:
-        rho, x = _spectral_radius_from_apply(
-            lambda v: Z.apply(v), n, m, worst, min(tol, 1e-10), max_iter
-        )
+    f = A.to_polynomial() if form is None else form
+    a, exps, coeffs = pure_and_mixed(f)
+    a = np.abs(a)
+    s = float(np.max(a))
+    Z = _row_operator(exps, np.abs(coeffs), m, s - a)
+    # the largest entry of Z: a mixed term's entry is its coefficient over
+    # its multiplicity
+    fact = np.array([math.factorial(k) for k in range(m + 1)], dtype=float)
+    entries = np.abs(coeffs) * np.prod(fact[exps], axis=1) / fact[m]
+    worst = max(s - float(np.min(a)), float(np.max(entries, initial=0.0)))
+    rho, x = _spectral_radius(Z, variable_components(f), worst, min(tol, 1e-10), max_iter)
     band = tol * (1.0 + s + abs(rho))
     h = rho <= s + band
     nonsingular = rho < s - band
@@ -554,11 +671,12 @@ def is_h_tensor(
     y = None
     margin = -math.inf
     if nonsingular:
-        y, margin = _verify_h_witness(A, x)
+        off = _row_operator(exps, np.abs(coeffs), m)
+        y, margin = _verify_h_witness(a, off, x)
         if y is None:
             # fall back to the all-one vector, which works for strictly
             # diagonally dominated inputs
-            y, margin = _verify_h_witness(A, np.ones(n))
+            y, margin = _verify_h_witness(a, off, np.ones(n))
         if y is None:
             nonsingular = False
             boundary = True
@@ -566,27 +684,13 @@ def is_h_tensor(
 
 
 def _verify_h_witness(
-    A: SymmetricTensor, y: np.ndarray
+    a: np.ndarray, off: _RowOperator, y: np.ndarray
 ) -> Tuple[Optional[np.ndarray], float]:
+    """min_i of |a_ii| y_i^(m-1) minus row i of the |mixed terms| operator
+    `off` at y, with y when that margin is positive."""
     if np.any(y <= 0):
         return None, -math.inf
-    n, m = A.dim, A.order
-    margin = math.inf
-    for i in range(n):
-        lhs = abs(float(A.diagonal_entry(i))) * y[i] ** (m - 1)
-        rhs = 0.0
-        diag = (i,) * m
-        for idx, v in A.entries.items():
-            if idx == diag or i not in idx:
-                continue
-            counts = Counter(idx)
-            p = 1.0
-            for j, cj in counts.items():
-                e = cj - 1 if j == i else cj
-                if e:
-                    p *= y[j] ** e
-            rhs += _row_tuple_count(idx, i, m) * abs(float(v)) * p
-        margin = min(margin, lhs - rhs)
+    margin = float(np.min(a * y ** (off.order - 1) - off(y)))
     if margin > 0:
         return y, margin
     return None, margin
@@ -594,6 +698,34 @@ def _verify_h_witness(
 
 # ---------------------------------------------------------------------------
 # extended Z structure
+
+
+def variable_components(f: HomogeneousPolynomial) -> List[int]:
+    """Each variable's connected component, named by its smallest variable.
+
+    Variables are joined whenever they appear in the same term of f, so a
+    pure power joins nothing.  Union-find over the terms' supports; a union
+    hangs the larger root under the smaller, so every root is the smallest
+    variable of its component.
+    """
+    label = list(range(f.dim))
+
+    def find(a: int) -> int:
+        while label[a] != a:
+            label[a] = label[label[a]]
+            a = label[a]
+        return a
+
+    for support, _ in f._support_index[0]:
+        if len(support) < 2:
+            continue
+        root = find(support[0][0])
+        for v, _ in support[1:]:
+            other = find(v)
+            if other != root:
+                root, other = min(root, other), max(root, other)
+                label[other] = root
+    return [find(v) for v in range(f.dim)]
 
 
 @dataclass(frozen=True)
@@ -620,49 +752,30 @@ def detect_extended_z(
     """Decide extended-Z structure and return the variable partition.
 
     Variables are joined whenever they co-occur in a mixed term; the
-    connected components of that graph are the coarsest viable partition, and
-    any valid partition splits into unions of components blockwise, so
-    checking components decides membership.  Each block must either carry at
-    most one nonzero mixed term or carry only nonpositive mixed terms.
+    connected components of that graph (`variable_components`) are the
+    coarsest viable partition, and any valid partition splits into unions
+    of components blockwise, so checking components decides membership.
+    Each block must either carry at most one nonzero mixed term or carry
+    only nonpositive mixed terms.
     Variables appearing in no mixed term stay as singleton blocks.  `form`
     is A's induced form when the caller has already built it.
     """
     if A.order % 2 != 0:
         raise ClassificationError("extended-Z detection requires even order")
-    n = A.dim
-    mixed = (A.to_polynomial() if form is None else form).mixed_terms()
-
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for alpha in mixed:
-        support = [v for v, e in enumerate(alpha) if e]
-        for v in support[1:]:
-            union(support[0], v)
-
+    f = A.to_polynomial() if form is None else form
+    labels = variable_components(f)
     groups: Dict[int, List[int]] = {}
-    for v in range(n):
-        groups.setdefault(find(v), []).append(v)
-
+    for v, r in enumerate(labels):
+        groups.setdefault(r, []).append(v)
     block_terms: Dict[int, List[Tuple[Exponent, Number]]] = {r: [] for r in groups}
-    for alpha, c in mixed.items():
-        support = [v for v, e in enumerate(alpha) if e]
-        block_terms[find(support[0])].append((alpha, c))
+    for alpha, (support, c) in zip(f.terms, f._support_index[0]):
+        if len(support) > 1:
+            block_terms[labels[support[0][0]]].append((alpha, c))
 
     blocks: List[ExtendedZBlock] = []
     failing: List[int] = []
-    for r in sorted(groups):
-        vars_ = tuple(sorted(groups[r]))
+    for r, members in groups.items():
+        vars_ = tuple(members)
         terms = tuple(sorted(block_terms[r], key=lambda t: t[0], reverse=True))
         nonzero = [t for t in terms if t[1] != 0]
         if len(nonzero) <= 1:
@@ -900,7 +1013,7 @@ def classify(A: SymmetricTensor, tol: float = BOUNDARY_TOL) -> ClassificationRep
             pass
     report.verdicts["b0"] = v
 
-    fam = classify_b_family(A, tol)
+    fam = classify_b_family(A, tol, form=f)
     report.verdicts["double_b"] = ClassVerdict(fam.double_b, fam.boundary)
     report.verdicts["quasi_double_b0"] = ClassVerdict(fam.quasi_double_b0, fam.boundary)
     if fam.mb0 is None:
@@ -913,7 +1026,7 @@ def classify(A: SymmetricTensor, tol: float = BOUNDARY_TOL) -> ClassificationRep
         )
 
     try:
-        hv = is_h_tensor(A, tol)
+        hv = is_h_tensor(A, tol, form=f)
         report.verdicts["h_tensor"] = ClassVerdict(
             hv.h, hv.boundary, {"s": hv.s, "rho": hv.rho}
         )

@@ -24,6 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import compress
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
@@ -187,8 +188,11 @@ class HomogeneousPolynomial:
         what the block's own terms cost."""
         supported = []
         users: Dict[int, List[int]] = {}
+        variables = range(self.dim)
         for t, (alpha, c) in enumerate(self.terms.items()):
-            support = tuple((v, e) for v, e in enumerate(alpha) if e)
+            # compress finds the nonzero exponents at C speed: long, sparse
+            # exponent vectors dominate large forms
+            support = tuple((v, alpha[v]) for v in compress(variables, alpha))
             supported.append((support, c))
             for v, _ in support:
                 users.setdefault(v, []).append(t)
@@ -231,6 +235,14 @@ class HomogeneousPolynomial:
             )
             bits.append(f"{c}*{mono}" if mono else f"{c}")
         return " + ".join(bits)
+
+
+def term_arrays(f: HomogeneousPolynomial) -> Tuple[np.ndarray, np.ndarray]:
+    """f's exponent vectors as integer rows and its coefficients as floats,
+    in term order."""
+    exps = np.array(list(f.terms), dtype=np.int64).reshape(len(f.terms), f.dim)
+    coeffs = np.fromiter(map(float, f.terms.values()), dtype=float, count=len(f.terms))
+    return exps, coeffs
 
 
 @dataclass(frozen=True)

@@ -169,6 +169,50 @@ def reference_row_weak_offsum(A, i):
     return total
 
 
+def reference_h_witness_margin(A, y):
+    """min over rows i of |a[i..i]| y_i^(m-1) minus the sum over row i's off
+    tuples of |a[i, i2, ..., im]| y_i2 ... y_im, one row scan per row."""
+    from collections import Counter
+
+    margin = np.inf
+    for i in range(A.dim):
+        lhs = abs(float(A.diagonal_entry(i))) * y[i] ** (A.order - 1)
+        rhs = 0.0
+        diag = (i,) * A.order
+        for idx, v in A.entries.items():
+            if idx == diag or i not in idx:
+                continue
+            p = 1.0
+            for j, cj in Counter(idx).items():
+                e = cj - 1 if j == i else cj
+                if e:
+                    p *= y[j] ** e
+            rhs += _row_tuple_count(idx, i, A.order) * abs(float(v)) * p
+        margin = min(margin, lhs - rhs)
+    return margin
+
+
+def reference_partition(f):
+    """Variable components of a form by union-find over its mixed terms,
+    each component sorted, in order of smallest variable."""
+    parent = list(range(f.dim))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for alpha in f.mixed_terms():
+        support = [v for v, e in enumerate(alpha) if e]
+        for v in support[1:]:
+            ra, rb = find(support[0]), find(v)
+            parent[max(ra, rb)] = min(ra, rb)
+    groups = {}
+    for v in range(f.dim):
+        groups.setdefault(find(v), []).append(v)
+    return [tuple(groups[r]) for r in sorted(groups)]
+
+
 def reference_row_sum(A, i):
     total = 0
     for idx, v in A.entries.items():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sostensor import generators, sdp, sos, spectral
-from sostensor.sos import _dominance_margin, _term_arrays, gershgorin_lower_bound, gram_system
+from sostensor.sos import _dominance_margin, gershgorin_lower_bound, gram_system
 from sostensor.spectral import (
     EigMinOptions,
     _pure_power_rows,
@@ -21,6 +21,7 @@ from sostensor.tensor import (
     eigen_residual,
     from_polynomial,
     identity_tensor,
+    term_arrays,
 )
 
 from helpers import (
@@ -320,7 +321,7 @@ class TestMaxShiftSdp:
     def test_iteration_cap_keeps_the_floor(self, monkeypatch):
         A = generators.random_class_instance("cauchy_psd", 4, 2, 40_000)
         f = A.to_polynomial()
-        exps, coeffs = _term_arrays(f)
+        exps, coeffs = term_arrays(f)
         floor = _dominance_margin(exps, coeffs, f.degree)
         value, status = self._check(
             A, EigMinOptions(max_iter=50), _count_solves(monkeypatch)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sostensor import generators, sos, spectral
+from sostensor import generators, sos, spectral, structured
 from sostensor.structured import (
     CAUCHY_RTOL,
     ClassificationError,
@@ -24,6 +24,7 @@ from sostensor.structured import (
     is_diagonally_dominated,
     is_h_tensor,
     is_z_tensor,
+    pure_and_mixed,
     row_tables,
     spectral_radius_nonnegative,
 )
@@ -42,6 +43,8 @@ from helpers import (
     reference_double_b_pairs,
     reference_double_b_quantities,
     reference_gershgorin,
+    reference_h_witness_margin,
+    reference_partition,
     reference_row_absolute_offsum,
     reference_row_max_off_entry,
     reference_row_sum,
@@ -388,6 +391,90 @@ class TestSpectralRadius:
             spectral_radius_nonnegative(A)
 
 
+class TestRowOperator:
+    """The compiled operator x -> T x^(m-1) behind the Collatz iteration."""
+
+    FORMS = [
+        # repeated variables, and x3 in no term at all
+        (4, 4, {(4, 0, 0, 0): 2.0, (0, 4, 0, 0): 1.5, (2, 2, 0, 0): -0.7,
+                (3, 0, 1, 0): 0.4, (1, 1, 2, 0): -0.3, (0, 0, 4, 0): 1.0}),
+        (6, 4, {(6, 0, 0, 0): 1.0, (0, 6, 0, 0): 2.0, (0, 0, 6, 0): 0.5,
+                (4, 2, 0, 0): -0.6, (3, 1, 2, 0): 0.25, (1, 2, 3, 0): -0.8,
+                (2, 2, 2, 0): 0.9}),
+        (4, 3, {}),
+        (6, 3, {}),
+    ]
+
+    @staticmethod
+    def operator(A):
+        a, exps, coeffs = pure_and_mixed(A.to_polynomial())
+        return structured._row_operator(exps, coeffs, A.order, a)
+
+    @pytest.mark.parametrize("order,dim,terms", FORMS)
+    def test_operator_is_apply(self, order, dim, terms):
+        A = poly_tensor(order, dim, terms)
+        op = self.operator(A)
+        rng = np.random.default_rng(order * 10 + dim)
+        for _ in range(5):
+            x = rng.uniform(0.1, 2.0, dim)
+            assert np.allclose(op(x), A.apply(x), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("order", [4, 6])
+    def test_operator_is_apply_on_random_tensors(self, order):
+        rng = np.random.default_rng(order)
+        for _ in range(5):
+            A = random_symmetric_tensor(rng, order, 4)
+            x = rng.uniform(0.1, 2.0, 4)
+            assert np.allclose(self.operator(A)(x), A.apply(x), rtol=1e-12, atol=1e-12)
+
+    def test_block_diagonal_radius_is_the_largest_block_radius(self):
+        # two nonnegative blocks on interleaved variables {0, 2} and {1, 3, 4}
+        first = {(4, 0): 1.0, (0, 4): 2.0, (2, 2): 1.5, (3, 1): 0.5}
+        second = {(4, 0, 0): 0.5, (0, 4, 0): 1.0, (0, 0, 4): 0.25,
+                  (2, 1, 1): 1.2, (0, 2, 2): 0.3}
+        terms = {}
+        for alpha, c in first.items():
+            beta = [0] * 5
+            beta[0], beta[2] = alpha
+            terms[tuple(beta)] = c
+        for alpha, c in second.items():
+            beta = [0] * 5
+            beta[1], beta[3], beta[4] = alpha
+            terms[tuple(beta)] = c
+        whole = spectral_radius_nonnegative(poly_tensor(4, 5, terms), tol=1e-12)
+        radii = [
+            spectral_radius_nonnegative(poly_tensor(4, 2, first), tol=1e-12),
+            spectral_radius_nonnegative(poly_tensor(4, 3, second), tol=1e-12),
+        ]
+        assert radii[0] != pytest.approx(radii[1], rel=1e-3)
+        assert whole == pytest.approx(max(radii), rel=1e-9)
+
+    @pytest.mark.parametrize("name", ["h_nonneg_diag", "weak_diag_dominated"])
+    def test_reducible_form_takes_few_steps(self, name):
+        # x0 and x3 are isolated; on the whole form the iteration took
+        # about 900 steps, per component it takes 1 + 44 + 1
+        A = generators.random_class_instance(name, 4, 4, 40_022)
+        v = is_h_tensor(A, max_iter=100)
+        assert v.h and v.nonsingular and v.margin > 0
+        assert classify_b_family(A, power_iter_cap=100).mb0 is not None
+
+    def test_witness_margin_matches_row_scan(self):
+        # criterion 7's first draw
+        checked = 0
+        for name in generators.CLASS_GENERATORS:
+            for r in range(20):
+                order, dim = (4, 6)[r % 2], 2 + r % 3
+                A = generators.random_class_instance(name, order, dim, 40_000 + r)
+                v = is_h_tensor(A)
+                if v.y is None:
+                    continue
+                checked += 1
+                assert v.margin == pytest.approx(
+                    reference_h_witness_margin(A, v.y), rel=1e-12
+                )
+        assert checked == sum(TestHTensor.POOL_NONSINGULAR.values())
+
+
 class TestHTensor:
     def test_identity(self):
         v = is_h_tensor(identity_tensor(4, 3))
@@ -506,6 +593,21 @@ class TestExtendedZ:
             }
             A = SymmetricTensor(4, 3, entries)
             assert detect_extended_z(A).holds
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_partition_is_the_union_find_partition(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 12))
+        terms = {}
+        for _ in range(int(rng.integers(0, 8))):
+            k = int(rng.integers(1, min(n, 3) + 1))
+            alpha = [0] * n
+            for v, e in zip(rng.choice(n, size=k, replace=False), {1: [4], 2: [2, 2], 3: [2, 1, 1]}[k]):
+                alpha[v] = e
+            terms[tuple(alpha)] = float(rng.normal())
+        f = HomogeneousPolynomial(4, n, terms)
+        assert detect_extended_z(from_polynomial(f)).partition == reference_partition(f)
 
     def test_form_passed_in_gives_the_same_result(self):
         rng = np.random.default_rng(8)
