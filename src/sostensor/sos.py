@@ -30,6 +30,7 @@ from .structured import (
     cauchy_generator,
     delta_index_set,
     detect_extended_z,
+    h_witness,
 )
 from .tensor import (
     Exponent,
@@ -610,6 +611,41 @@ def _dominance_margin(exps: np.ndarray, coeffs: np.ndarray, m: int) -> float:
     return float(np.min(_row_slack(exps, coeffs, m)))
 
 
+def _bound_scale(f: HomogeneousPolynomial, witness: bool) -> Optional[np.ndarray]:
+    """A variable scale t > 0 under which the row bound holds, else None.
+
+    The bound is min_i (a_i - w_i) >= 0 (`_dominance_margin`) for the form
+    f(y / t), whose coefficients are f_alpha / t^alpha.  SOS-ness and
+    nonnegativity survive the substitution, so the bound in any such units
+    proves f nonnegative, and `_amgm_gram` in y gives a Gram matrix of f.
+    The scales tried, in order:
+
+    - t = 1, f's own units;
+    - t = d of `_unit_power_scale`, in which f's positive pure powers are 1;
+    - when `witness`, t = 1 / y for the witness y > 0 of `h_witness`.  Its
+      row inequality |a_i| y_i^(m-1) > sum of row i's off-diagonal |entries|
+      times y_i2 ... y_im, multiplied by y_i, is the strict row bound of
+      f(y * z) with every mixed term counted: the paper's proof that an
+      even-order H-tensor with a nonnegative diagonal is SOS.  It is tried
+      only when every pure power of f is positive, since a_i <= 0 fails row
+      i in any units.  The power iteration stops at 1000 steps, so a form
+      near the H boundary gets no witness rather than costing the full
+      cap, and a form far from one stops once it is proved none.
+    """
+    exps, coeffs = term_arrays(f)
+
+    def holds(t: np.ndarray) -> bool:
+        return _dominance_margin(exps, coeffs / np.prod(t ** exps, axis=1), f.degree) >= 0
+
+    for t in (np.ones(f.dim), _unit_power_scale(f)):
+        if holds(t):
+            return t
+    if not witness or any(f.diagonal_coefficient(i) <= 0 for i in range(f.dim)):
+        return None
+    y = h_witness(f, max_iter=1000)
+    return 1.0 / y if y is not None and holds(1.0 / y) else None
+
+
 def _negative_point_scan(
     f: HomogeneousPolynomial, seed: int, cauchy: bool = False
 ) -> Optional[Tuple[np.ndarray, float]]:
@@ -622,21 +658,26 @@ def _negative_point_scan(
     form's whole negative range.  A hit y maps back to x = y / d,
     normalized to the unit m-norm sphere, where f(x) = g(y) / ||y / d||_m^m.
 
-    The descent is skipped, and None returned, when a lower bound proves
-    that no point of the sphere lies below the cut:
+    The descent is unnecessary when a lower bound proves that no point of
+    the sphere lies below the cut:
 
-    - Weak diagonal dominance.  Every mixed term b x^alpha with b > 0 and
-      all alpha_i even is nonnegative.  For any other, weighted AM-GM gives
+    - Weak diagonal dominance in scaled variables.  For a form
+      h, every mixed term b x^alpha with b > 0 and all alpha_i even is
+      nonnegative.  For any other, weighted AM-GM gives
       |x^alpha| <= sum_i (alpha_i / m) x_i^m (m is even), so
-      f(x) >= sum_i (a_i - w_i) x_i^m >= min_i (a_i - w_i) on the sphere,
-      with a_i the coefficient of x_i^m and w_i from `_weak_offsum`.  The
-      scan is skipped when that minimum is >= 0 for f or for g; either makes
-      f, and with it g, nonnegative everywhere.
-    - `cauchy`: f was accepted by `cauchy_generator`, so each coefficient is
-      within a relative CAUCHY_RTOL of a positive Cauchy form's, which is
-      PSD.  On the sphere every |y^alpha| <= 1, so
-      g >= -CAUCHY_RTOL / (1 - CAUCHY_RTOL) * sum |g_alpha|; the scan is
-      skipped when that is above the cut.
+      h(x) >= sum_i (a_i - w_i) x_i^m, with a_i the coefficient of x_i^m
+      and w_i from `_weak_offsum`.  When min_i (a_i - w_i) >= 0 for
+      h = f(y / t) with some t > 0, h and with it f and g are nonnegative
+      everywhere.  `_bound_scale` looks for t in three units: f's own,
+      g's, and those of the H-tensor witness.  `certify_sos` does not call
+      the scan when it found one on every variable component of f (the
+      bound is a row bound, and no mixed term joins two components).
+    - `cauchy`: f, or each of its components, was accepted by
+      `cauchy_generator`, so each coefficient is within a relative
+      CAUCHY_RTOL of a positive Cauchy form's, which is PSD.  On the
+      sphere every |y^alpha| <= 1, so
+      g >= -CAUCHY_RTOL / (1 - CAUCHY_RTOL) * sum |g_alpha|; the scan
+      returns None without descending when that is above the cut.
 
     Rounding in either bound is far below the cut's 1e-9 relative margin,
     so a skipped scan is one that would have returned None.
@@ -646,8 +687,6 @@ def _negative_point_scan(
     exps, coeffs_f = term_arrays(f)
     coeffs = coeffs_f / np.prod(d ** exps, axis=1)
     cut = -1e-9 * (1.0 + float(np.max(np.abs(coeffs), initial=0.0)))
-    if max(_dominance_margin(exps, coeffs_f, m), _dominance_margin(exps, coeffs, m)) >= 0:
-        return None
     if cauchy and -CAUCHY_RTOL / (1.0 - CAUCHY_RTOL) * np.sum(np.abs(coeffs)) > cut:
         return None
     g = HomogeneousPolynomial(m, f.dim, dict(zip(f.terms, coeffs.tolist())))
@@ -777,7 +816,10 @@ def certify_sos(
     connected components (joined by shared mixed terms, the blocks of
     `detect_extended_z`), each component is certified in its own variables
     and the certificates are merged, which keeps every Gram matrix at the
-    per-component size; extended-Z structure plays no part.  A certificate
+    per-component size; extended-Z structure plays no part.  Each
+    component's Cauchy generator and row-bound scale (`_bound_scale`) are
+    found once and serve its certificate; the negative-point scan runs only
+    when some component has no scale.  A certificate
     is returned only when every coefficient of z' Q z lies within
     CERTIFICATE_TOL * (1 + max |coefficient|) of the form's, in the form's
     variables and in variables scaled to unit pure powers; the Gram SDP
@@ -789,10 +831,21 @@ def certify_sos(
     if A.order % 2 != 0:
         raise SosError("sum-of-squares certification needs even order")
     f = A.to_polynomial()
-    c = cauchy_generator(f)
+    blocks = detect_extended_z(A, f).blocks
+    if len(blocks) >= 2:
+        subs = [(list(b.variables), f.restrict(list(b.variables))) for b in blocks]
+    else:
+        subs = [(list(range(f.dim)), f)]
+    # per component: variables, restricted form, Cauchy generator and scale
+    parts = []
+    for vars_, sub in subs:
+        c = cauchy_generator(sub)
+        parts.append((vars_, sub, c, _bound_scale(sub, witness=c is None)))
 
-    if opts.point_scan:
-        hit = _negative_point_scan(f, opts.seed, cauchy=c is not None)
+    if opts.point_scan and any(t is None for _, _, _, t in parts):
+        hit = _negative_point_scan(
+            f, opts.seed, cauchy=all(c is not None for _, _, c, _ in parts)
+        )
         if hit is not None:
             x, val = hit
             return NotCertified(
@@ -802,10 +855,10 @@ def certify_sos(
                 message=f"form evaluates to {val:.6g} < 0",
             )
 
-    blocks = detect_extended_z(A, f).blocks
-    if len(blocks) >= 2:
-        return _certify_blockwise(f, blocks, opts)
-    return _certify_monolithic(f, opts, c)
+    if len(parts) >= 2:
+        return _certify_blockwise(f, parts, opts)
+    _, _, c, t = parts[0]
+    return _certify_monolithic(f, opts, c, t)
 
 
 @dataclass(frozen=True)
@@ -850,14 +903,17 @@ def _certify_monolithic(
     f: HomogeneousPolynomial,
     opts: CertifyOptions,
     c: Optional[Tuple[Number, ...]],
+    t: Optional[np.ndarray],
 ) -> Union[SosCertificate, NotCertified]:
     """Certify f with one Gram matrix over the full half-degree basis.
 
-    Diagonal forms take an exact diagonal Gram matrix, forms whose row bound
-    holds in f's or g's units (see `_Scaling`) the AM-GM one of
-    `_amgm_gram`, and positive Cauchy forms (generator c from
-    `cauchy_generator(f)`, None for any other form) their closed-form one;
-    a matrix that fails the check falls through to the next route.
+    Diagonal forms take an exact diagonal Gram matrix.  A form whose row
+    bound holds for f(y / t), with t from `_bound_scale(f, witness=c is
+    None)` (None when there is none), takes the AM-GM Gram matrix of `_amgm_gram` in y: in f's units,
+    in g's (see `_Scaling`), or in the units of its H-tensor witness.
+    Positive Cauchy forms (generator c from `cauchy_generator(f)`, None for
+    any other form) take their closed-form one; a matrix that fails the
+    check falls through to the next route.
     Otherwise the Gram SDP of the scaled form
     g (see `_Scaling`), divided by its largest coefficient, is solved until
     its residual is half the certificate tolerance of both g and f.
@@ -896,17 +952,16 @@ def _certify_monolithic(
 
     scaling = _Scaling.of(f, system)
     s = scaling.basis_scale
-    # the row bound in f's units, else in the unit-pure-power units of g
-    exps = np.array(system.alphas, dtype=np.int64)
-    Q = _amgm_gram(exps, scaling.rhs_f, system.basis)
-    if Q is not None:
-        Q = Q / np.outer(s, s)
-    else:
-        Q = _amgm_gram(exps, scaling.rhs, system.basis)
-    if Q is not None:
-        finished = _finish_certificate(Q, scaling, 1.0, "amgm")
-        if isinstance(finished, SosCertificate):
-            return finished
+    if t is not None:
+        # a Gram matrix Q of f(y / t) in y is one of f in x times t^beta on
+        # both sides, since z(y) = t^beta z(x); over s s' it is g's
+        exps = np.array(system.alphas, dtype=np.int64)
+        Q = _amgm_gram(exps, scaling.rhs_f / np.prod(t ** exps, axis=1), system.basis)
+        if Q is not None:
+            r = s / np.prod(t ** np.array(system.basis.exponents), axis=1)
+            finished = _finish_certificate(Q / np.outer(r, r), scaling, 1.0, "amgm")
+            if isinstance(finished, SosCertificate):
+                return finished
 
     if c is not None:
         Q = cauchy_gram(c, system.basis) / np.outer(s, s)
@@ -988,14 +1043,16 @@ def _finish_certificate(
 
 def _certify_blockwise(
     f: HomogeneousPolynomial,
-    blocks,
+    parts,
     opts: CertifyOptions,
 ) -> Union[SosCertificate, NotCertified]:
     """Certify each block's restriction of f and merge the certificates.
 
-    Blocks share no variable and no mixed term, so f is the sum of its
-    restrictions; setting the other blocks' variables to zero shows that f
-    is SOS only if every restriction is.
+    `parts` holds, per block, its variables, the restriction, its Cauchy
+    generator and its `_bound_scale`.  Blocks share no variable and no
+    mixed term, so f is the sum of its restrictions; setting the other
+    blocks' variables to zero shows that f is SOS only if every restriction
+    is.
     """
     n, m = f.dim, f.degree
     total_rank = 0
@@ -1005,10 +1062,8 @@ def _certify_blockwise(
     methods: List[str] = []
     basis = monomial_basis(n, m // 2)
     Q_full = np.zeros((len(basis), len(basis)))
-    for block in blocks:
-        vars_ = list(block.variables)
-        sub = f.restrict(vars_)
-        result = _certify_monolithic(sub, opts, cauchy_generator(sub))
+    for vars_, sub, c, t in parts:
+        result = _certify_monolithic(sub, opts, c, t)
         if isinstance(result, NotCertified):
             if result.witness_point is not None:
                 lifted = np.zeros(n)

@@ -101,6 +101,15 @@ class RowTables:
 
 
 def row_tables(A: SymmetricTensor) -> RowTables:
+    """A's row tables, built once per tensor and shared by every reader.
+
+    The table is cached on A, so `classify`'s row tests, and any later
+    caller, read one table; callers must not modify its lists.
+    """
+    return A._row_tables
+
+
+def _build_row_tables(A: SymmetricTensor) -> RowTables:
     """All row quantities from one pass over the canonical entries.
 
     The row-i tuples (i, i2, ..., im) that sort to a canonical index idx
@@ -531,27 +540,32 @@ def _spectral_radius(
     scale: float,
     tol: float,
     max_iter: int,
+    floor: float = math.inf,
 ) -> Tuple[float, np.ndarray]:
     """Dominant eigenvalue of a nonnegative operator, and a positive witness.
 
     The variable components (`labels`, see `_RowOperator.split`) decouple the
     operator, so the radius is the largest of the components' radii, each
     from `_collatz_radius`.  The witness x > 0 holds each component's last
-    iterate, the whole rescaled to unit m-norm.
+    iterate, the whole rescaled to unit m-norm.  Once a component's radius
+    (or its lower bound, see `_collatz_radius`) reaches `floor`, that value
+    is returned at once, with x incomplete.
     """
     parts = op.split(labels)
     x = np.empty(len(labels))
     rho = -math.inf
     for vs, sub in parts:
-        r, x[vs] = _collatz_radius(sub, scale, tol, max_iter)
+        r, x[vs] = _collatz_radius(sub, scale, tol, max_iter, floor)
         rho = max(rho, r)
+        if rho >= floor:
+            return rho, x
     if len(parts) > 1:
         x /= np.sum(x ** op.order) ** (1.0 / op.order)
     return rho, x
 
 
 def _collatz_radius(
-    op: _RowOperator, scale: float, tol: float, max_iter: int
+    op: _RowOperator, scale: float, tol: float, max_iter: int, floor: float = math.inf
 ) -> Tuple[float, np.ndarray]:
     """Dominant eigenvalue of a nonnegative operator, and the positive
     iterate x whose Collatz ratios bracketed it last.
@@ -561,7 +575,9 @@ def _collatz_radius(
     positive by adding eps times the all-one operator, which perturbs the
     radius by at most eps * n^(m-1); the returned estimate centers that
     correction.  This sidesteps reducible inputs (block-diagonal patterns)
-    for which plain iteration stalls.
+    for which plain iteration stalls.  The smallest ratio minus that
+    perturbation bounds the radius from below; once the bound reaches
+    `floor` it is returned in place of the estimate.
     """
     n, order = op.dim, op.order
     if n == 1:
@@ -584,6 +600,8 @@ def _collatz_radius(
         ratios = y / x ** p
         lo, hi = float(ratios.min()), float(ratios.max())
         lo_best, hi_best = max(lo_best, lo), min(hi_best, hi)
+        if lo_best - eps * nm1 >= floor:
+            return lo_best - eps * nm1, x
         # a bracket within rounding of its own magnitude cannot narrow further
         if hi_best - lo_best <= max(abs_tol / 2.0, 8 * _EPS * abs(hi_best)):
             mid = 0.5 * (lo_best + hi_best)
@@ -651,8 +669,30 @@ def is_h_tensor(
     and attached as a witness; verdicts with |rho - s| inside the tolerance
     band are flagged boundary.
     """
-    n, m = A.dim, A.order
-    f = A.to_polynomial() if form is None else form
+    return _h_verdict(A.to_polynomial() if form is None else form, tol, max_iter)
+
+
+def h_witness(f: HomogeneousPolynomial, max_iter: int = 1000) -> Optional[np.ndarray]:
+    """The witness y > 0 that `is_h_tensor` verifies for the tensor induced
+    by f, or None when it finds none or its power iteration hits `max_iter`.
+
+    The iteration stops as soon as a Collatz ratio proves the radius of Z at
+    least s: past that point f induces no nonsingular H-tensor, so a form
+    that is far from one costs a few steps, not a converged radius.
+    """
+    try:
+        return _h_verdict(f, BOUNDARY_TOL, max_iter, stop_at_s=True).y
+    except PowerIterationError:
+        return None
+
+
+def _h_verdict(
+    f: HomogeneousPolynomial, tol: float, max_iter: int, stop_at_s: bool = False
+) -> HVerdict:
+    """`is_h_tensor` on the tensor induced by f.  With `stop_at_s`, rho is
+    only a lower bound once it reaches s; y is None then, as it would be
+    after the full iteration, but h and boundary are not the radius test's."""
+    n, m = f.dim, f.degree
     a, exps, coeffs = pure_and_mixed(f)
     a = np.abs(a)
     s = float(np.max(a))
@@ -662,7 +702,10 @@ def is_h_tensor(
     fact = np.array([math.factorial(k) for k in range(m + 1)], dtype=float)
     entries = np.abs(coeffs) * np.prod(fact[exps], axis=1) / fact[m]
     worst = max(s - float(np.min(a)), float(np.max(entries, initial=0.0)))
-    rho, x = _spectral_radius(Z, variable_components(f), worst, min(tol, 1e-10), max_iter)
+    rho, x = _spectral_radius(
+        Z, variable_components(f), worst, min(tol, 1e-10), max_iter,
+        s if stop_at_s else math.inf,
+    )
     band = tol * (1.0 + s + abs(rho))
     h = rho <= s + band
     nonsingular = rho < s - band

@@ -361,6 +361,13 @@ class SymmetricTensor:
 
         return FormEvaluator(self.to_polynomial())
 
+    @cached_property
+    def _row_tables(self):
+        """The per-row quantities of `structured.row_tables`, built on first use."""
+        from .structured import _build_row_tables
+
+        return _build_row_tables(self)
+
     def apply(self, x: Sequence[float]) -> np.ndarray:
         """Contract along all but the first mode.
 

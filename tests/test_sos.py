@@ -50,6 +50,13 @@ def poly_tensor(degree, dim, terms):
     return from_polynomial(HomogeneousPolynomial(degree, dim, terms))
 
 
+def _monolithic(f):
+    """`_certify_monolithic` on a one-component form, with the Cauchy
+    generator and row-bound scale that `certify_sos` finds for it."""
+    c = cauchy_generator(f)
+    return sos._certify_monolithic(f, CertifyOptions(), c, sos._bound_scale(f, witness=c is None))
+
+
 class TestMonomialBasis:
     def test_two_vars_degree_two(self):
         b = monomial_basis(2, 2)
@@ -144,7 +151,6 @@ class TestCertify:
         assert cert.block_structure == [(0, 1), (2, 3)]
 
     def test_blockwise_gram_is_lifted_block_grams(self):
-        from sostensor.sos import _certify_monolithic
         from sostensor.structured import detect_extended_z
         from sostensor.tensor import SymmetricTensor
 
@@ -162,7 +168,7 @@ class TestCertify:
         covered = np.zeros(cert.gram.shape, dtype=bool)
         for block in blocks:
             sub = f.restrict(block.variables)
-            own = _certify_monolithic(sub, CertifyOptions(), cauchy_generator(sub))
+            own = _monolithic(sub)
             lift = []
             for alpha in own.basis.exponents:
                 full = [0] * n
@@ -334,7 +340,7 @@ class TestSingleMixedTerm:
         A = poly_tensor(d2, n, terms)
         verdict = single_mixed_term_sos(b, list(a), mu)
         f = A.to_polynomial()
-        res = sos._certify_monolithic(f, CertifyOptions(), cauchy_generator(f))
+        res = _monolithic(f)
         assert isinstance(res, SosCertificate) == verdict
 
 
@@ -768,16 +774,16 @@ class TestScanSkip:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10 ** 6), st.sampled_from([4, 6]))
     def test_bound_implies_unskipped_scan_finds_nothing(self, seed, order):
-        f = _near_dominance_boundary(seed, order)
+        A = from_polynomial(_near_dominance_boundary(seed, order))
+        f = A.to_polynomial()
         exps, coeffs = _exps_coeffs(f)
         assume(sos._dominance_margin(exps, coeffs, order) >= 0)
         with pytest.MonkeyPatch.context() as mp:
             calls = _count_scans(mp)
-            assert sos._negative_point_scan(f, seed) is None
+            assert isinstance(certify_sos(A, CertifyOptions(seed=seed)), SosCertificate)
             assert calls == []
-            # the same scan with the bound switched off descends and finds
-            # nothing below the cut
-            mp.setattr(sos, "_dominance_margin", lambda *args: -1.0)
+            # the scan certify_sos skipped descends and finds nothing below
+            # the cut
             assert sos._negative_point_scan(f, seed) is None
             assert len(calls) == 1
 
@@ -907,6 +913,12 @@ def _dominated_form(seed, order, zero_row=True):
     return HomogeneousPolynomial(order, n, {a: scale * c for a, c in terms.items()})
 
 
+# SOS, but failing the row bound in any units: the SDP route's input
+_FOURTH_POWER_OF_DIFFERENCE = HomogeneousPolynomial(
+    4, 2, {(4, 0): 1.0, (3, 1): -4.0, (2, 2): 6.0, (1, 3): -4.0, (0, 4): 1.0}
+)
+
+
 class TestAmgmRoute:
     """Weakly dominated forms are certified from Hurwitz's AM-GM squares,
     with no SDP solve."""
@@ -940,7 +952,7 @@ class TestAmgmRoute:
         with pytest.MonkeyPatch.context() as mp:
             calls = _count_solves(mp)
             g = A.to_polynomial()
-            cert = sos._certify_monolithic(g, CertifyOptions(), cauchy_generator(g))
+            cert = _monolithic(g)
         assert isinstance(cert, SosCertificate)
         assert cert.method == "amgm"
         assert calls == []
@@ -973,9 +985,11 @@ class TestAmgmRoute:
         assert calls == []
 
     def test_form_failing_the_bound_in_both_units_reaches_the_sdp(self, monkeypatch):
-        # x0^4 + x1^4 - 1.5 x0^3 x1 is PSD (binary), and row 0's weak
-        # off-sum 1.125 exceeds its pure power in both units
-        f = HomogeneousPolynomial(4, 2, {(4, 0): 1.0, (0, 4): 1.0, (3, 1): -1.5})
+        # (x0 - x1)^4 is SOS, each row's weak off-sum 4 exceeds its pure
+        # power in both units, and it is no nonsingular H-tensor (its
+        # comparison tensor's off-diagonal row sum is 7 against a diagonal
+        # of 1), so no witness scale exists either
+        f = _FOURTH_POWER_OF_DIFFERENCE
         calls = _count_solves(monkeypatch)
         cert = certify_sos(from_polynomial(f))
         assert isinstance(cert, SosCertificate) and cert.method == "sdp"
@@ -1002,12 +1016,117 @@ class TestAmgmRoute:
         assert compared >= 100
 
 
+# class-certify's forms whose row bound fails in their own units and in
+# unit-pure-power units, in the form or in one block
+_WITNESS_SCALED = [
+    ("h_nonneg_diag", 6, 3, 40_001),
+    ("h_nonneg_diag", 6, 3, 40_021),
+    ("h_nonneg_diag", 6, 3, 40_041),
+    ("h_nonneg_diag", 4, 4, 40_002),
+    ("h_nonneg_diag", 4, 4, 40_042),
+    ("h_nonneg_diag", 4, 3, 40_024),
+    ("psd_extended_z", 6, 3, 40_021),
+    ("psd_extended_z", 6, 3, 40_041),
+    ("psd_extended_z", 4, 4, 40_002),
+    ("psd_extended_z", 4, 4, 40_022),
+    ("psd_extended_z", 4, 4, 40_042),
+    ("psd_extended_z", 4, 3, 40_044),
+]
+
+
+def _slowly_mixing_h_pair():
+    """Two copies of h_nonneg_diag (4, 3, 40024), the second times 1.001,
+    joined by 0.01 x2^2 x3^2: one component whose H-tensor power iteration
+    needs more than 1000 steps, since the copies' radii nearly tie."""
+    base = generators.random_class_instance("h_nonneg_diag", 4, 3, 40_024).to_polynomial()
+    terms = {(0, 0, 2, 2, 0, 0): 0.01}
+    for alpha, c in base.terms.items():
+        terms[tuple(alpha) + (0, 0, 0)] = float(c)
+        terms[(0, 0, 0) + tuple(alpha)] = 1.001 * float(c)
+    return HomogeneousPolynomial(4, 6, terms)
+
+
+class TestWitnessScaledAmgm:
+    """A form or block that fails the row bound in both units but is a
+    nonsingular H-tensor takes the AM-GM route in the variables scaled by
+    its witness: no descent and no SDP solve."""
+
+    @pytest.mark.parametrize("name, order, dim, seed", _WITNESS_SCALED)
+    def test_class_form_needs_neither_scan_nor_sdp(self, monkeypatch, name, order, dim, seed):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("no descent or SDP solve expected")
+
+        monkeypatch.setattr(sdp, "solve", unexpected)
+        monkeypatch.setattr(sos, "sphere_minimize", unexpected)
+        A = generators.random_class_instance(name, order, dim, seed)
+        cert = certify_sos(A)
+        assert isinstance(cert, SosCertificate)
+        methods = cert.block_methods or [cert.method]
+        assert "amgm" in methods
+        f = A.to_polynomial()
+        for block, method in zip(cert.block_structure or [range(A.dim)], methods):
+            if method == "amgm":
+                # neither fixed units carries the bound: the witness did
+                assert sos._bound_scale(f.restrict(list(block)), witness=False) is None
+        assert _independent_residual(A, cert) <= 1e-9 * (1 + f.max_abs_coefficient())
+        w = np.linalg.eigvalsh(cert.gram)
+        assert w[0] >= -1e-9 * max(w[-1], 1.0)
+
+    def test_cauchy_form_takes_no_witness(self, monkeypatch):
+        # its closed-form Gram matrix comes next, so the power iteration of
+        # the witness would be wasted
+        def unexpected(*args, **kwargs):
+            raise AssertionError("no H-tensor witness expected")
+
+        A = generators.random_class_instance("cauchy_psd", 6, 3, 40_001)
+        assert sos._bound_scale(A.to_polynomial(), witness=False) is None
+        monkeypatch.setattr(sos, "h_witness", unexpected)
+        assert certify_sos(A).method == "cauchy"
+
+    def test_negative_pure_power_with_h_comparison_tensor_is_not_sos(self):
+        from sostensor.structured import is_h_tensor
+
+        f = HomogeneousPolynomial(4, 2, {(4, 0): -1.0, (0, 4): 2.0, (3, 1): 0.1})
+        A = from_polynomial(f)
+        assert is_h_tensor(A).nonsingular
+        assert sos._bound_scale(f, witness=True) is None
+        res = certify_sos(A)
+        assert isinstance(res, NotCertified) and res.status == "not_sos"
+        assert A.evaluate(res.witness_point) < 0
+
+    def test_witness_at_the_step_cap_falls_through_to_the_sdp(self, monkeypatch):
+        from sostensor import structured
+
+        A = from_polynomial(_slowly_mixing_h_pair())
+        assert sos._bound_scale(A.to_polynomial(), witness=False) is None
+        raised = []
+        collatz = structured._collatz_radius
+
+        def recording(*args):
+            try:
+                return collatz(*args)
+            except structured.PowerIterationError as err:
+                raised.append(err)
+                raise
+
+        monkeypatch.setattr(structured, "_collatz_radius", recording)
+        calls = _count_solves(monkeypatch)
+        cert = certify_sos(A)
+        assert [err.iterations for err in raised] == [1000]
+        # the upper Collatz bound is already below s = max |a_ii|: a
+        # nonsingular H-tensor, stopped by the cap and not by the floor
+        s = max(abs(float(A.diagonal_entry(i))) for i in range(A.dim))
+        assert raised[0].bracket[1] < s
+        assert isinstance(cert, SosCertificate) and cert.method == "sdp"
+        assert len(calls) >= 1
+
+
 class TestCertificateMethod:
     """Every certificate names the route that built it."""
 
     def test_diagonal(self):
         f = identity_tensor(4, 3).to_polynomial()
-        cert = sos._certify_monolithic(f, CertifyOptions(), cauchy_generator(f))
+        cert = _monolithic(f)
         assert cert.method == "diagonal"
 
     def test_amgm(self):
@@ -1019,8 +1138,7 @@ class TestCertificateMethod:
         assert certify_sos(A).method == "cauchy"
 
     def test_sdp(self):
-        f = HomogeneousPolynomial(4, 2, {(4, 0): 1.0, (0, 4): 1.0, (3, 1): -1.5})
-        assert certify_sos(from_polynomial(f)).method == "sdp"
+        assert certify_sos(from_polynomial(_FOURTH_POWER_OF_DIFFERENCE)).method == "sdp"
 
     def test_blockwise_reports_each_block(self):
         cert = certify_sos(generators.example54(20))
@@ -1032,21 +1150,19 @@ class TestCertificateMethod:
         assert len(payload["blocks"]) == 5
 
     def test_blockwise_methods_align_with_blocks(self):
-        # psd_extended_z seed 40002: one block needs the SDP, the other is
-        # diagonal
-        A = generators.random_class_instance("psd_extended_z", 4, 4, 40_002)
+        # (x0 - x1)^4 + x2^4: one block needs the SDP, the other is diagonal
+        terms = {a + (0,): c for a, c in _FOURTH_POWER_OF_DIFFERENCE.terms.items()}
+        A = from_polynomial(HomogeneousPolynomial(4, 3, {**terms, (0, 0, 4): 1.0}))
         cert = certify_sos(A)
         assert cert.method == "blockwise"
         f = A.to_polynomial()
         for block, method in zip(cert.block_structure, cert.block_methods):
             sub = f.restrict(block)
-            own = sos._certify_monolithic(sub, CertifyOptions(), cauchy_generator(sub))
+            own = _monolithic(sub)
             assert own.method == method
         assert sorted(cert.block_methods) == ["diagonal", "sdp"]
 
     def test_monolithic_to_dict(self):
         f = identity_tensor(4, 2).to_polynomial()
-        payload = sos._certify_monolithic(
-            f, CertifyOptions(), cauchy_generator(f)
-        ).to_dict()
+        payload = _monolithic(f).to_dict()
         assert payload["method"] == "diagonal" and payload["block_methods"] is None

@@ -357,9 +357,9 @@ class TestComponentSplit:
         own = []
         for block in self.COMPONENTS:
             sub = f.restrict(block)
-            own.append(
-                sos._certify_monolithic(sub, sos.CertifyOptions(), cauchy_generator(sub)).method
-            )
+            c = cauchy_generator(sub)
+            t = sos._bound_scale(sub, witness=c is None)
+            own.append(sos._certify_monolithic(sub, sos.CertifyOptions(), c, t).method)
         assert cert.block_methods == own
 
     def test_eigenvalue_splits(self):

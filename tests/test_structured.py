@@ -121,6 +121,24 @@ class TestRowTables:
             for got, want in zip(double_b_quantities(A), reference_double_b_quantities(A)):
                 assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("name", ["b0", "double_b", "weak_diag_dominated"])
+    def test_classify_builds_the_tables_once(self, monkeypatch, name):
+        A = generators.random_class_instance(name, 4, 3, 40_000)
+        calls = []
+        build = structured._build_row_tables
+
+        def counting(B):
+            calls.append(B)
+            return build(B)
+
+        monkeypatch.setattr(structured, "_build_row_tables", counting)
+        report = classify(A).to_dict()
+        assert calls == [A]
+        # later readers share the cached table
+        assert classify(A).to_dict() == report
+        assert row_tables(A) is row_tables(A)
+        assert calls == [A]
+
     def test_odd_order_has_no_weak_sums(self):
         A = SymmetricTensor(3, 2, {(0, 0, 0): 1, (0, 0, 1): 2})
         rows = row_tables(A)
@@ -542,6 +560,30 @@ class TestHTensor:
                     assert v.margin > 0 and np.all(v.y > 0)
                     assert np.sum(v.y ** order) == pytest.approx(1.0, rel=1e-9)
         assert found == self.POOL_NONSINGULAR
+
+    def test_h_witness_is_the_verdicts_witness_over_the_pool(self):
+        # stopping once the radius passes s changes no witness
+        for name in generators.CLASS_GENERATORS:
+            for r in range(20):
+                order, dim = (4, 6)[r % 2], 2 + r % 3
+                A = generators.random_class_instance(name, order, dim, 40_000 + r)
+                y = structured.h_witness(A.to_polynomial(), max_iter=200_000)
+                v = is_h_tensor(A)
+                assert (y is None) == (v.y is None)
+                assert y is None or np.array_equal(y, v.y)
+
+    def test_h_witness_stops_once_the_radius_passes_s(self, monkeypatch):
+        A = generators.random_class_instance("cauchy_psd", 4, 3, 40_000)
+        steps = []
+        call = structured._RowOperator.__call__
+        monkeypatch.setattr(
+            structured._RowOperator, "__call__", lambda op, x: steps.append(x) or call(op, x)
+        )
+        assert not is_h_tensor(A).h
+        full = len(steps)
+        steps.clear()
+        assert structured.h_witness(A.to_polynomial()) is None
+        assert len(steps) == 1 < full
 
 
 class TestExtendedZ:
