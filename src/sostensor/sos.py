@@ -630,7 +630,8 @@ def _bound_scale(f: HomogeneousPolynomial, witness: bool) -> Optional[np.ndarray
       only when every pure power of f is positive, since a_i <= 0 fails row
       i in any units.  The power iteration stops at 1000 steps, so a form
       near the H boundary gets no witness rather than costing the full
-      cap, and a form far from one stops once it is proved none.
+      cap, and a form off the boundary's band, on either side, stops as
+      soon as its Collatz bracket decides.
     """
     exps, coeffs = term_arrays(f)
 

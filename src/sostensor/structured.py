@@ -358,8 +358,13 @@ def classify_b_family(
     M-tensor, tested as s >= spectral radius of s I - (shifted tensor); the
     shifted operator is applied from B's induced form (`form`, when the
     caller has built it) plus the rank-one shift, so the dense shift never
-    needs to be materialized.  If the power iteration stalls, `mb0` is None,
-    the verdict is flagged boundary and `details` carries the last bracket.
+    needs to be materialized.  The power iteration stops once its Collatz
+    bracket leaves the tolerance band around s, so `details["rho"]` is the
+    radius only when it lies inside the band (flagged boundary); elsewhere
+    it is the certified bound that decided the verdict, an upper bound
+    below s - band or a lower bound above s + band.  If the power iteration
+    stalls, `mb0` is None, the verdict is flagged boundary and `details`
+    carries the last bracket.
     """
     n = B.dim
     beta, delta, delta_ij, tail = _double_b(B)
@@ -427,11 +432,9 @@ def _mb0_check(
     labels = variable_components(f) if shift is None else [0] * B.dim
     Z = _row_operator(exps, -coeffs, B.order, s - b, shift)
     scale = s + float(np.max(beta)) + 1.0
-    rho, _ = _spectral_radius(Z, labels, scale, tol, max_iter)
-    band = tol * (1.0 + s + abs(rho))
-    mb0 = rho <= s + band
-    boundary = abs(rho - s) <= band
-    return mb0, boundary, s, rho
+    test = _Threshold(s, tol)
+    rho, _ = _spectral_radius(Z, labels, scale, tol, max_iter, test)
+    return rho <= s + test.band(rho), test.inside(rho), s, rho
 
 
 # ---------------------------------------------------------------------------
@@ -534,30 +537,53 @@ def _row_operator(
     return _RowOperator(n, order, target, others, weight, shift)
 
 
+@dataclass(frozen=True)
+class _Threshold:
+    """The test of a spectral radius rho against a threshold s, with the band
+    tol (1 + s + |rho|): rho is above s past the band, below s under it, and
+    inside the band otherwise."""
+
+    s: float
+    tol: float
+
+    def band(self, rho: float) -> float:
+        return self.tol * (1.0 + self.s + abs(rho))
+
+    def above(self, rho: float) -> bool:
+        return rho > self.s + self.band(rho)
+
+    def below(self, rho: float) -> bool:
+        return rho < self.s - self.band(rho)
+
+    def inside(self, rho: float) -> bool:
+        return abs(rho - self.s) <= self.band(rho)
+
+
 def _spectral_radius(
     op: _RowOperator,
     labels: Sequence[int],
     scale: float,
     tol: float,
     max_iter: int,
-    floor: float = math.inf,
+    test: Optional[_Threshold] = None,
 ) -> Tuple[float, np.ndarray]:
     """Dominant eigenvalue of a nonnegative operator, and a positive witness.
 
     The variable components (`labels`, see `_RowOperator.split`) decouple the
     operator, so the radius is the largest of the components' radii, each
     from `_collatz_radius`.  The witness x > 0 holds each component's last
-    iterate, the whole rescaled to unit m-norm.  Once a component's radius
-    (or its lower bound, see `_collatz_radius`) reaches `floor`, that value
+    iterate, the whole rescaled to unit m-norm.  With a `test`, each
+    component stops once its bracket decides it and gives its deciding
+    bound; once one component's lower bound is above s + band, that bound
     is returned at once, with x incomplete.
     """
     parts = op.split(labels)
     x = np.empty(len(labels))
     rho = -math.inf
     for vs, sub in parts:
-        r, x[vs] = _collatz_radius(sub, scale, tol, max_iter, floor)
+        r, x[vs] = _collatz_radius(sub, scale, tol, max_iter, test)
         rho = max(rho, r)
-        if rho >= floor:
+        if test is not None and test.above(rho):
             return rho, x
     if len(parts) > 1:
         x /= np.sum(x ** op.order) ** (1.0 / op.order)
@@ -565,7 +591,11 @@ def _spectral_radius(
 
 
 def _collatz_radius(
-    op: _RowOperator, scale: float, tol: float, max_iter: int, floor: float = math.inf
+    op: _RowOperator,
+    scale: float,
+    tol: float,
+    max_iter: int,
+    test: Optional[_Threshold] = None,
 ) -> Tuple[float, np.ndarray]:
     """Dominant eigenvalue of a nonnegative operator, and the positive
     iterate x whose Collatz ratios bracketed it last.
@@ -575,9 +605,15 @@ def _collatz_radius(
     positive by adding eps times the all-one operator, which perturbs the
     radius by at most eps * n^(m-1); the returned estimate centers that
     correction.  This sidesteps reducible inputs (block-diagonal patterns)
-    for which plain iteration stalls.  The smallest ratio minus that
-    perturbation bounds the radius from below; once the bound reaches
-    `floor` it is returned in place of the estimate.
+    for which plain iteration stalls.
+
+    With a `test` against s, the iteration stops as soon as the bracket
+    decides it (Ng, Qi & Zhou 2009): once the best smallest ratio minus that
+    perturbation, a lower bound of the radius, is above s + band, that bound
+    is returned; once the current iterate's largest ratio, an upper bound,
+    is below s - band, that bound is returned with the iterate, whose rows
+    then all satisfy (T x^(m-1))_i < s x_i^(m-1).  Only a radius inside the
+    band runs until the bracket closes.
     """
     n, order = op.dim, op.order
     if n == 1:
@@ -600,8 +636,11 @@ def _collatz_radius(
         ratios = y / x ** p
         lo, hi = float(ratios.min()), float(ratios.max())
         lo_best, hi_best = max(lo_best, lo), min(hi_best, hi)
-        if lo_best - eps * nm1 >= floor:
-            return lo_best - eps * nm1, x
+        if test is not None:
+            if test.above(lo_best - eps * nm1):
+                return lo_best - eps * nm1, x
+            if test.below(hi):
+                return hi, x
         # a bracket within rounding of its own magnitude cannot narrow further
         if hi_best - lo_best <= max(abs_tol / 2.0, 8 * _EPS * abs(hi_best)):
             mid = 0.5 * (lo_best + hi_best)
@@ -639,6 +678,14 @@ def spectral_radius_nonnegative(
 
 @dataclass(frozen=True)
 class HVerdict:
+    """H-tensor verdict from the spectral radius of Z against s.
+
+    `rho` is the radius of Z only when it lies inside the boundary band
+    around s (`boundary`); elsewhere it is the certified Collatz bound that
+    decided the verdict: an upper bound below s - band when nonsingular, a
+    lower bound above s + band when not an H-tensor.
+    """
+
     h: bool
     nonsingular: bool
     y: Optional[np.ndarray]
@@ -660,14 +707,16 @@ def is_h_tensor(
     diagonal entry and Z nonnegative; membership holds when the spectral
     radius of Z does not exceed s (nonsingular when strictly below).  Z is
     applied from A's induced form (`form`, when the caller has built it):
-    s - |a_ii| on the diagonal and the mixed terms' absolute values.  For a
-    nonsingular verdict the witness y > 0 of that power iteration is
-    verified directly against the row inequalities
+    s - |a_ii| on the diagonal and the mixed terms' absolute values.  The
+    power iteration stops once its Collatz bracket leaves the tolerance band
+    around s, and `rho` is the bound that decided (see `HVerdict`); only a
+    radius inside the band is iterated to convergence and flagged boundary.
+    For a nonsingular verdict the iterate y > 0 whose Collatz ratios are all
+    below s is verified directly against the row inequalities
 
         |a[i..i]| y_i^{m-1} > sum over off tuples |a[i,...]| y_{i2} ... y_{im}
 
-    and attached as a witness; verdicts with |rho - s| inside the tolerance
-    band are flagged boundary.
+    and attached as a witness.
     """
     return _h_verdict(A.to_polynomial() if form is None else form, tol, max_iter)
 
@@ -676,22 +725,17 @@ def h_witness(f: HomogeneousPolynomial, max_iter: int = 1000) -> Optional[np.nda
     """The witness y > 0 that `is_h_tensor` verifies for the tensor induced
     by f, or None when it finds none or its power iteration hits `max_iter`.
 
-    The iteration stops as soon as a Collatz ratio proves the radius of Z at
-    least s: past that point f induces no nonsingular H-tensor, so a form
-    that is far from one costs a few steps, not a converged radius.
+    The iteration stops as soon as its bracket decides the verdict, so a
+    form far from the H boundary, on either side, costs a few steps.
     """
     try:
-        return _h_verdict(f, BOUNDARY_TOL, max_iter, stop_at_s=True).y
+        return _h_verdict(f, BOUNDARY_TOL, max_iter).y
     except PowerIterationError:
         return None
 
 
-def _h_verdict(
-    f: HomogeneousPolynomial, tol: float, max_iter: int, stop_at_s: bool = False
-) -> HVerdict:
-    """`is_h_tensor` on the tensor induced by f.  With `stop_at_s`, rho is
-    only a lower bound once it reaches s; y is None then, as it would be
-    after the full iteration, but h and boundary are not the radius test's."""
+def _h_verdict(f: HomogeneousPolynomial, tol: float, max_iter: int) -> HVerdict:
+    """`is_h_tensor` on the tensor induced by f."""
     n, m = f.dim, f.degree
     a, exps, coeffs = pure_and_mixed(f)
     a = np.abs(a)
@@ -702,14 +746,13 @@ def _h_verdict(
     fact = np.array([math.factorial(k) for k in range(m + 1)], dtype=float)
     entries = np.abs(coeffs) * np.prod(fact[exps], axis=1) / fact[m]
     worst = max(s - float(np.min(a)), float(np.max(entries, initial=0.0)))
+    test = _Threshold(s, tol)
     rho, x = _spectral_radius(
-        Z, variable_components(f), worst, min(tol, 1e-10), max_iter,
-        s if stop_at_s else math.inf,
+        Z, variable_components(f), worst, min(tol, 1e-10), max_iter, test
     )
-    band = tol * (1.0 + s + abs(rho))
-    h = rho <= s + band
-    nonsingular = rho < s - band
-    boundary = abs(rho - s) <= band
+    h = rho <= s + test.band(rho)
+    nonsingular = test.below(rho)
+    boundary = test.inside(rho)
 
     y = None
     margin = -math.inf

@@ -343,3 +343,26 @@ def reference_pure_power_rows(system, m):
         if max(alpha) == m:
             rows[k] = 1.0
     return rows
+
+
+def h_boundary_form(f, gap):
+    """f with every pure power lowered by one constant c, chosen so that
+    s - rho(Z) = gap for the split |comparison tensor| = s I - Z that
+    `is_h_tensor` tests: Z's diagonal s - |a_ii| and off entries do not move,
+    so neither does its radius, while s drops by c.  Every a_ii must stay
+    positive (true for an H-tensor with off-diagonal terms in every row)."""
+    from sostensor.structured import spectral_radius_nonnegative
+    from sostensor.tensor import (
+        HomogeneousPolynomial, comparison_tensor, from_polynomial, identity_tensor,
+    )
+
+    A = from_polynomial(f)
+    s = max(abs(float(A.diagonal_entry(i))) for i in range(A.dim))
+    Z = identity_tensor(A.order, A.dim).scale(s) - comparison_tensor(A)
+    c = s - spectral_radius_nonnegative(Z, tol=1e-12) - gap
+    terms = {alpha: float(v) for alpha, v in f.terms.items()}
+    for i in range(f.dim):
+        pure = tuple(f.degree if j == i else 0 for j in range(f.dim))
+        assert terms[pure] > c
+        terms[pure] -= c
+    return HomogeneousPolynomial(f.degree, f.dim, terms)

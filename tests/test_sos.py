@@ -39,6 +39,7 @@ from sostensor.tensor import (
 
 from helpers import (
     grid_min,
+    h_boundary_form,
     random_symmetric_tensor,
     reference_congruence,
     reference_constraint_values,
@@ -1037,7 +1038,8 @@ _WITNESS_SCALED = [
 def _slowly_mixing_h_pair():
     """Two copies of h_nonneg_diag (4, 3, 40024), the second times 1.001,
     joined by 0.01 x2^2 x3^2: one component whose H-tensor power iteration
-    needs more than 1000 steps, since the copies' radii nearly tie."""
+    needs more than 1000 steps to converge, since the copies' radii nearly
+    tie."""
     base = generators.random_class_instance("h_nonneg_diag", 4, 3, 40_024).to_polynomial()
     terms = {(0, 0, 2, 2, 0, 0): 0.01}
     for alpha, c in base.terms.items():
@@ -1094,11 +1096,10 @@ class TestWitnessScaledAmgm:
         assert isinstance(res, NotCertified) and res.status == "not_sos"
         assert A.evaluate(res.witness_point) < 0
 
-    def test_witness_at_the_step_cap_falls_through_to_the_sdp(self, monkeypatch):
+    @staticmethod
+    def _record_caps(monkeypatch):
         from sostensor import structured
 
-        A = from_polynomial(_slowly_mixing_h_pair())
-        assert sos._bound_scale(A.to_polynomial(), witness=False) is None
         raised = []
         collatz = structured._collatz_radius
 
@@ -1110,13 +1111,34 @@ class TestWitnessScaledAmgm:
                 raise
 
         monkeypatch.setattr(structured, "_collatz_radius", recording)
+        return raised
+
+    def test_slowly_mixing_pair_is_decided_before_the_step_cap(self, monkeypatch):
+        # its radius is far enough below s for the Collatz bracket to decide
+        # the witness long before the bracket closes
+        A = from_polynomial(_slowly_mixing_h_pair())
+        assert sos._bound_scale(A.to_polynomial(), witness=False) is None
+        raised = self._record_caps(monkeypatch)
+        calls = _count_solves(monkeypatch)
+        cert = certify_sos(A)
+        assert raised == []
+        assert isinstance(cert, SosCertificate) and cert.method == "amgm"
+        assert calls == []
+
+    def test_witness_at_the_step_cap_falls_through_to_the_sdp(self, monkeypatch):
+        # the same pair with its pure powers lowered until s is within the
+        # band of the radius: the bracket cannot decide, and it does not
+        # close within the 1000 steps of the witness
+        A = from_polynomial(h_boundary_form(_slowly_mixing_h_pair(), 1e-10))
+        assert sos._bound_scale(A.to_polynomial(), witness=False) is None
+        raised = self._record_caps(monkeypatch)
         calls = _count_solves(monkeypatch)
         cert = certify_sos(A)
         assert [err.iterations for err in raised] == [1000]
-        # the upper Collatz bound is already below s = max |a_ii|: a
-        # nonsingular H-tensor, stopped by the cap and not by the floor
         s = max(abs(float(A.diagonal_entry(i))) for i in range(A.dim))
-        assert raised[0].bracket[1] < s
+        band = 1e-9 * (1 + 2 * s)
+        lo, hi = raised[0].bracket
+        assert lo <= s + band and hi >= s - band
         assert isinstance(cert, SosCertificate) and cert.method == "sdp"
         assert len(calls) >= 1
 

@@ -39,6 +39,7 @@ from sostensor.tensor import (
 )
 
 from helpers import (
+    h_boundary_form,
     random_symmetric_tensor,
     reference_double_b_pairs,
     reference_double_b_quantities,
@@ -54,6 +55,16 @@ from helpers import (
 
 def poly_tensor(degree, dim, terms):
     return from_polynomial(HomogeneousPolynomial(degree, dim, terms))
+
+
+def count_operator_calls(monkeypatch):
+    """The arguments of every `_RowOperator` application from here on."""
+    steps = []
+    call = structured._RowOperator.__call__
+    monkeypatch.setattr(
+        structured._RowOperator, "__call__", lambda op, x: steps.append(x) or call(op, x)
+    )
+    return steps
 
 
 class TestDeltaIndexSet:
@@ -573,17 +584,84 @@ class TestHTensor:
                 assert y is None or np.array_equal(y, v.y)
 
     def test_h_witness_stops_once_the_radius_passes_s(self, monkeypatch):
+        # the first Collatz lower bound is already above s + band, so both
+        # the verdict and the witness stop after one step
         A = generators.random_class_instance("cauchy_psd", 4, 3, 40_000)
-        steps = []
-        call = structured._RowOperator.__call__
-        monkeypatch.setattr(
-            structured._RowOperator, "__call__", lambda op, x: steps.append(x) or call(op, x)
-        )
+        steps = count_operator_calls(monkeypatch)
         assert not is_h_tensor(A).h
-        full = len(steps)
+        assert len(steps) == 1
         steps.clear()
         assert structured.h_witness(A.to_polynomial()) is None
-        assert len(steps) == 1 < full
+        assert len(steps) == 1
+
+
+class TestVerdictStop:
+    """The H-tensor and MB0 tests stop their Collatz iteration once its
+    bracket leaves the band around s; only a radius inside the band is
+    iterated until the bracket closes."""
+
+    def test_connected_form_is_decided_in_a_few_steps(self, monkeypatch):
+        # one connected component whose bracket took 902 steps to close
+        A = generators.random_class_instance("h_nonneg_diag", 4, 3, 40_044)
+        assert len(set(structured.variable_components(A.to_polynomial()))) == 1
+        steps = count_operator_calls(monkeypatch)
+        v = is_h_tensor(A)
+        assert len(steps) <= 10
+        assert v.h and v.nonsingular and not v.boundary
+        assert v.margin > 0 and np.all(v.y > 0)
+
+    @staticmethod
+    def record_radii(monkeypatch):
+        """(rho, x, operator, test, radius with no test) of every
+        `_spectral_radius` call from here on."""
+        seen = []
+        radius = structured._spectral_radius
+
+        def recording(op, labels, scale, tol, max_iter, test=None):
+            rho, x = radius(op, labels, scale, tol, max_iter, test)
+            seen.append((rho, x, op, test, radius(op, labels, scale, tol, max_iter)[0]))
+            return rho, x
+
+        monkeypatch.setattr(structured, "_spectral_radius", recording)
+        return seen
+
+    def test_decided_rho_is_a_certified_bound(self, monkeypatch):
+        # each thresholded radius of criterion 7's first draw against the
+        # same operator's radius with no threshold
+        seen = self.record_radii(monkeypatch)
+        for name in generators.CLASS_GENERATORS:
+            for r in range(20):
+                order, dim = (4, 6)[r % 2], 2 + r % 3
+                classify(generators.random_class_instance(name, order, dim, 40_000 + r))
+        decided = {"below": 0, "above": 0}
+        for rho, x, op, test, full in seen:
+            assert test is not None
+            if test.below(rho):
+                decided["below"] += 1
+                assert rho >= full
+                # the witness is the iterate whose Collatz ratios rho bounds
+                assert np.all(op(x) <= rho * x ** (op.order - 1) * (1 + 1e-12))
+            elif test.above(rho):
+                decided["above"] += 1
+                assert rho <= full
+            else:
+                assert rho == full
+        assert len(seen) == 2 * 180
+        assert decided["below"] > 0 and decided["above"] > 0
+
+    @pytest.mark.parametrize("gap", [2e-9, -2e-9])
+    def test_radius_inside_the_band_converges_and_is_flagged(self, monkeypatch, gap):
+        # s - rho(Z) = gap, inside the band 1e-9 (1 + s + rho) on either side
+        f = generators.random_class_instance("h_nonneg_diag", 4, 3, 40_044).to_polynomial()
+        A = from_polynomial(h_boundary_form(f, gap))
+        seen = self.record_radii(monkeypatch)
+        v = is_h_tensor(A)
+        assert [(rho, full) for rho, *_, full in seen] == [(v.rho, v.rho)]
+        assert v.h and not v.nonsingular and v.boundary and v.y is None
+        assert v.s - v.rho == pytest.approx(gap, abs=1e-10)
+        rep = classify(A)
+        assert rep.verdicts["h_tensor"].holds and rep.verdicts["h_tensor"].boundary
+        assert rep.verdicts["h_tensor_nonsingular"].holds is False
 
 
 class TestExtendedZ:
