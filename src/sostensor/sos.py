@@ -259,7 +259,6 @@ class NotCertified:
 @dataclass
 class CertifyOptions:
     max_iter: int = 200_000
-    point_scan: bool = True
     seed: int = 20240801
 
 
@@ -741,7 +740,11 @@ def reduce_to_extreme(
         cols = r * (r + 1) // 2
         iu, ju = np.triu_indices(r)
         G = system.congruence(Vr) * np.where(iu == ju, 1.0, 2.0)
-        _, sv, VT = np.linalg.svd(G, full_matrices=True)
+        try:
+            _, sv, VT = np.linalg.svd(G, full_matrices=True)
+        except np.linalg.LinAlgError:  # LAPACK can fail on a finite G; try G'
+            U, sv, _ = np.linalg.svd(G.T, full_matrices=True)
+            VT = U.T
         if cols <= len(sv) and sv[min(cols, len(sv)) - 1] > null_eps * max(
             1.0, sv[0] if len(sv) else 1.0
         ):
@@ -843,7 +846,7 @@ def certify_sos(
         c = cauchy_generator(sub)
         parts.append((vars_, sub, c, _bound_scale(sub, witness=c is None)))
 
-    if opts.point_scan and any(t is None for _, _, _, t in parts):
+    if any(t is None for _, _, _, t in parts):
         hit = _negative_point_scan(
             f, opts.seed, cauchy=all(c is not None for _, _, c, _ in parts)
         )

@@ -31,8 +31,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from . import sdp
-from .descent import FormEvaluator, sphere_minimize
+from . import sdp, structured
+from .descent import sphere_minimize
 from .sos import (
     _constraint_values,
     _dominance_margin,
@@ -59,9 +59,12 @@ ORACLE_DIM_CAP = 8
 
 @dataclass
 class EigMinOptions:
+    """Options of `min_h_eigenvalue`: `tol` bounds each block value's gap to
+    its minimum, `max_iter` caps each Gram SDP solve, and every block takes
+    its cheapest route (`_form_value`)."""
+
     tol: float = 1e-6
     max_iter: int = 60_000
-    use_closed_form: bool = True
     seed: int = 7_652_413
     with_oracle: bool = False
     oracle_restarts: Optional[int] = None
@@ -235,48 +238,43 @@ def _z_sandwich(f: HomogeneousPolynomial, opts: EigMinOptions) -> Optional[float
     even-order diagonally dominated tensor is SOS (Qi 2005, the paper's
     weakly-diagonally-dominated class), and SOS-ness survives the change of
     variables x = D y, so f - t ||x||_m^m is SOS: t is feasible for the
-    program and below the minimum.  Any u is a point of the sphere after
-    scaling, so the Rayleigh quotient u.g / sum u_i^m is above the minimum.
+    program and below the minimum.
 
-    The shifted power method of Ng, Qi & Zhou (2009) drives both bounds to
-    the minimum: u <- (c u^[m-1] - g)^[1/(m-1)] with c the largest diagonal
-    coefficient plus the largest row off-sum, which keeps u > 0 and the
-    shifted tensor c I - A nonnegative with a positive diagonal.  Each lower
-    bound is lowered by the rounding of its float row sum: at most gamma_k
-    times the row's absolute sum |A| u^(m-1), with k covering the products'
-    factors and the row's summands (Higham 2002, section 3.1).  The bound
-    is returned once the gap is at most the tolerance in f's units.
-    `min_h_eigenvalue` sends only connected forms here.  On a reducible form
-    (decoupled components) u may underflow toward a Perron vector with zero
-    entries, or the Rayleigh quotient may weigh two components and close
-    slowly; a u that is no longer positive and finite, or the cap, returns
-    None.
+    With c the largest diagonal coefficient plus the largest row off-sum,
+    N = c I - A is nonnegative and t = c - R, R the largest Collatz ratio
+    (N u^(m-1))_i / u_i^(m-1).  `structured._spectral_radius` drives R to
+    rho(N) = c - (the program value) on each variable component (Ng, Qi &
+    Zhou 2009); it perturbs N by tol/4 and stops at a bracket tol/2 wide,
+    so t is within tol of the minimum.  Every term of a float row of
+    N u^(m-1) is nonnegative and takes at most K = m + T + 1 roundings, T
+    the number of terms of f (two in its weight, among them c - a_i, m - 1
+    in the products, T in the sum).  With one ulp for `pow` and a rounding
+    for the division, the exact R is at most the float one times
+    1 + (K + 4) r, r the unit roundoff, and the subtraction from c adds
+    r (|c| + R) (Higham 2002, section 3.1).  Lowering the float c - R by
+    (K + 6) eps (|c| + R), eps = 2 r, covers these and its own rounding.
+    A `PowerIterationError` (the cap, or a non-finite step) or a u no
+    longer positive returns None, and the SDP decides.
     """
-    n, m = f.dim, f.degree
+    m = f.degree
     diag, exps, coeffs = pure_and_mixed(f)
     offsum = np.abs(coeffs) @ exps.astype(float) / m
     c = float(np.max(diag) + np.max(offsum))
     tol = max(opts.tol, 1e-14 * f.max_abs_coefficient())
-    slack = 2.0 * m * (len(f.terms) + 2) * np.finfo(float).eps
-    ev = FormEvaluator(f)
-    u = np.ones(n)
-    lo, hi = -math.inf, math.inf
+    op = structured._row_operator(exps, -coeffs, m, c - diag)
+    try:
+        _, u = structured._spectral_radius(
+            op, structured.variable_components(f), 1.0, tol, Z_SANDWICH_MAX_ITER
+        )
+    except structured.PowerIterationError:
+        return None
     with np.errstate(all="ignore"):
-        for _ in range(Z_SANDWICH_MAX_ITER):
-            g = ev._gradient(u[None, :])[0] / m
-            up = u ** (m - 1)
-            # |A| u^(m-1): the pure power's term plus the off-diagonal part,
-            # which is nonpositive and equals g minus that term
-            absrow = np.abs(diag) * up + np.abs(diag * up - g)
-            lo = max(lo, float(np.min((g - slack * absrow) / up)))
-            hi = min(hi, float(u @ g) / float(np.sum(u ** m)))
-            if hi - lo <= tol:
-                return lo
-            u = (c * up - g) ** (1.0 / (m - 1))
-            u /= np.max(u)
-            if not (np.all(np.isfinite(u)) and np.all(u ** (m - 1) > 0)):
-                return None
-    return None
+        ratio = float((op(u) / u ** (m - 1)).max())
+    # a u_i^(m-1) that underflowed to 0 leaves an infinite or NaN ratio
+    if not math.isfinite(ratio):
+        return None
+    allowance = (m + len(f.terms) + 7) * np.finfo(float).eps * (abs(c) + ratio)
+    return float(c - ratio - allowance)
 
 
 def _form_value(
@@ -284,19 +282,18 @@ def _form_value(
 ) -> Tuple[float, str, str]:
     """Certified minimum of f over the sphere: value, method and status.
 
-    With closed forms enabled, a form with at most one mixed term takes its
-    closed form and a Z-form its sandwich; the Gram SDP takes the rest and
-    any sandwich that did not close.
+    A form with at most one mixed term takes its closed form and a Z-form
+    its sandwich; the Gram SDP (`_max_shift_sdp`) takes the rest and any
+    Z-form whose sandwich returns None.
     """
-    if opts.use_closed_form:
-        mixed = f.mixed_terms()
-        closed = _single_term_value(f)
-        if closed is not None:
-            return closed, "closed_form" if mixed else "diagonal", "optimal"
-        if all(c <= 0 for c in mixed.values()):
-            lo = _z_sandwich(f, opts)
-            if lo is not None:
-                return lo, "z_sandwich", "optimal"
+    mixed = f.mixed_terms()
+    closed = _single_term_value(f)
+    if closed is not None:
+        return closed, "closed_form" if mixed else "diagonal", "optimal"
+    if all(c <= 0 for c in mixed.values()):
+        lo = _z_sandwich(f, opts)
+        if lo is not None:
+            return lo, "z_sandwich", "optimal"
     value, status = _max_shift_sdp(f, opts)
     return value, "sdp", status
 

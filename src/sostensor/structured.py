@@ -55,15 +55,6 @@ class PowerIterationError(RuntimeError):
 # index bookkeeping
 
 
-def omega_index_set(A: SymmetricTensor) -> Set[Exponent]:
-    """Exponent vectors of the nonzero mixed terms (pure powers excluded)."""
-    out = set()
-    for alpha, c in A.to_polynomial().terms.items():
-        if c != 0 and max(alpha) != A.order:
-            out.add(alpha)
-    return out
-
-
 def delta_index_set(A: SymmetricTensor) -> Set[Exponent]:
     """Mixed terms with a negative coefficient or an odd exponent component."""
     if A.order % 2 != 0:

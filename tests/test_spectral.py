@@ -188,40 +188,40 @@ class TestZSandwich:
 
     def test_agrees_with_sdp_route(self):
         opts = EigMinOptions(tol=1e-4)
-        sdp_opts = EigMinOptions(tol=1e-4, use_closed_form=False)
         for f in z_blocks(range(31_000, 31_003)):
             value, method, _ = spectral._form_value(f, opts)
-            sdp_value, sdp_method, status = spectral._form_value(f, sdp_opts)
-            assert (method, sdp_method, status) == ("z_sandwich", "sdp", "optimal")
+            sdp_value, status = spectral._max_shift_sdp(f, opts)
+            assert (method, status) == ("z_sandwich", "optimal")
             assert abs(value - sdp_value) <= opts.tol
 
     def test_capped_iteration_falls_back_to_sdp(self, monkeypatch):
         f = z_blocks([31_000])[0]
-        sdp_value, _, _ = spectral._form_value(f, EigMinOptions(use_closed_form=False))
+        sdp_value, _ = spectral._max_shift_sdp(f, EigMinOptions())
         monkeypatch.setattr(spectral, "Z_SANDWICH_MAX_ITER", 1)
         assert spectral._z_sandwich(f, EigMinOptions()) is None
         assert spectral._form_value(f, EigMinOptions()) == (sdp_value, "sdp", "optimal")
 
-    def test_reducible_form_falls_back_to_sdp(self, monkeypatch):
-        # two decoupled components whose minima differ by 1e-3: on the joined
-        # form the Rayleigh quotient weighs both and closes too slowly for
-        # the cap, so the joined form falls back to the SDP
+    def test_reducible_form_closes_per_component(self, monkeypatch):
+        # two decoupled components whose minima differ by 1e-3: the power
+        # iteration runs on each component, so the joined form closes at the
+        # smaller minimum, at x3 = x4, 1 - 1.002 / 2, with no SDP
         A = poly_tensor(4, 4, {
             (4, 0, 0, 0): 1, (0, 4, 0, 0): 1, (2, 2, 0, 0): -1.0,
             (0, 0, 4, 0): 1, (0, 0, 0, 4): 1, (0, 0, 2, 2): -1.002,
         })
         f = A.to_polynomial()
-        assert spectral._z_sandwich(f, EigMinOptions()) is None
-        got = spectral._form_value(f, EigMinOptions())
-        sdp_value = spectral._form_value(f, EigMinOptions(use_closed_form=False))
-        assert got == sdp_value
-        # min_h_eigenvalue splits it; each component carries one mixed term
-        # and takes its closed form (the minimum, at x3 = x4, is 1 - 1.002 / 2)
 
         def no_solve(*args, **kwargs):
             raise AssertionError("sdp.solve ran")
 
         monkeypatch.setattr(sdp, "solve", no_solve)
+        value = spectral._z_sandwich(f, EigMinOptions())
+        assert value == pytest.approx(0.499, abs=1e-6)
+        val, _ = brute_force_min(A, seed=5)
+        assert value <= val
+        assert spectral._form_value(f, EigMinOptions()) == (value, "z_sandwich", "optimal")
+        # min_h_eigenvalue splits it; each component carries one mixed term
+        # and takes its closed form
         res = min_h_eigenvalue(A)
         assert res.method == "blockwise"
         assert [b.method for b in res.per_block] == ["closed_form"] * 2
@@ -248,6 +248,34 @@ class TestZSandwich:
         methods = [b["method"] for b in res.to_dict()["per_block"]]
         assert methods.count("z_sandwich") == 1
         assert set(methods) <= {"diagonal", "closed_form", "z_sandwich"}
+
+    def test_one_shared_power_iteration(self, monkeypatch):
+        from sostensor import descent, structured
+
+        calls = []
+        radius = structured._spectral_radius
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return radius(*args, **kwargs)
+
+        def no_gradient(*args, **kwargs):
+            raise AssertionError("FormEvaluator._gradient ran")
+
+        monkeypatch.setattr(structured, "_spectral_radius", counting)
+        monkeypatch.setattr(descent.FormEvaluator, "_gradient", no_gradient)
+        f = z_blocks([31_000])[0]
+        assert spectral._z_sandwich(f, EigMinOptions(tol=1e-4)) is not None
+        assert len(calls) == 1
+
+    def test_pd_harness_blocks_sound_at_tolerance(self):
+        tol = 1e-4
+        for i, f in enumerate(z_blocks(range(31_000, 31_016))):
+            v = spectral._z_sandwich(f, EigMinOptions(tol=tol))
+            bf, _ = brute_force_min(from_polynomial(f), seed=i)
+            assert type(v) is float
+            assert v <= bf + 1e-12 * (1 + abs(bf))
+            assert bf - v <= tol
 
 
 # the classes whose forms carry mixed terms of both signs, each at order 4,
@@ -296,7 +324,7 @@ class TestMaxShiftSdp:
     @given(st.integers(0, 10 ** 6))
     def test_mixed_sign_forms_sound(self, seed):
         A = random_symmetric_tensor(np.random.default_rng(seed), 4, 3, density=0.6)
-        opts = EigMinOptions(seed=seed, use_closed_form=False)
+        opts = EigMinOptions(seed=seed)
         with pytest.MonkeyPatch.context() as mp:
             self._check(A, opts, _count_solves(mp))
 
