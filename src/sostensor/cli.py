@@ -38,7 +38,8 @@ def _build_parser() -> _Parser:
 
     def common(sp, fmt=True):
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--tol", type=float, default=1e-6)
+        # None: each command takes its API's default tolerance
+        sp.add_argument("--tol", type=float, default=None)
         if fmt:
             sp.add_argument("--format", choices=("text", "json"), default="text")
         sp.add_argument("--out", type=str, default=None)
@@ -104,7 +105,8 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def _cmd_classify(args) -> int:
     A = _read(args.file)
-    report = structured.classify(A, tol=max(args.tol, 1e-12))
+    tol = structured.BOUNDARY_TOL if args.tol is None else max(args.tol, 1e-12)
+    report = structured.classify(A, tol=tol)
     if args.format == "json":
         _emit(fileio.to_json(report.to_dict()), args.out)
     else:
@@ -143,7 +145,7 @@ def _cmd_sos(args) -> int:
 
 def _eig_options(args) -> spectral.EigMinOptions:
     return spectral.EigMinOptions(
-        tol=args.tol,
+        tol=spectral.EigMinOptions().tol if args.tol is None else args.tol,
         seed=args.seed or 7_652_413,
         with_oracle=not getattr(args, "no_oracle", False),
         oracle_restarts=getattr(args, "restarts", None),
@@ -260,7 +262,7 @@ _EXAMPLE_ROWS = (
 def _cmd_repro(args) -> int:
     if args.suite == "examples":
         rows = []
-        tol = min(args.tol, 1e-6)
+        tol = 1e-6 if args.tol is None else min(args.tol, 1e-6)
         for name, build, truth in _EXAMPLE_ROWS:
             t0 = time.perf_counter()
             A = build()

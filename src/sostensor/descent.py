@@ -134,8 +134,13 @@ class SphereMinimum:
     gradient_norm: float
 
 
-def _sign_grid(n: int, cap: int) -> Optional[np.ndarray]:
-    if 3 ** n > cap:
+# `sphere_minimize` seeds from the sign-pattern grid only when 3**n is at
+# most GRID_CAP, that is for n <= 8
+GRID_CAP = 3 ** 8
+
+
+def _sign_grid(n: int) -> Optional[np.ndarray]:
+    if 3 ** n > GRID_CAP:
         return None
     from itertools import product
 
@@ -158,9 +163,7 @@ def sphere_minimize(
     seed: int = 0,
     restarts: int = 50,
     iters: int = 300,
-    grid_cap: int = 3 ** 8,
     stop_below: Optional[float] = None,
-    grad_tol: float = 1e-12,
 ) -> SphereMinimum:
     """Best local minimum of f over the unit m-norm sphere across many starts.
 
@@ -172,7 +175,7 @@ def sphere_minimize(
     rng = np.random.default_rng(seed)
 
     seeds: List[np.ndarray] = []
-    grid = _sign_grid(n, grid_cap)
+    grid = _sign_grid(n)
     grid_best: Optional[Tuple[float, np.ndarray]] = None
     if grid is not None and len(grid):
         Xg = _normalize_rows(grid, m)

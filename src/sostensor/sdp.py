@@ -188,12 +188,6 @@ class SdpSolution:
 class SolveOptions:
     feas_tol: float = 1e-8
     max_iter: int = 200_000
-    penalty: float = 1.0
-    over_relax: float = 1.6
-    check_every: int = 25
-    stall_tol: float = 1e-9
-    stall_window: int = 100
-    dual_tol_factor: float = 10.0
     warm_start: Optional[np.ndarray] = None  # cone-side [vec(X); u] iterate
 
 
@@ -389,8 +383,11 @@ def _objective_value(comp: _Compiled, problem: SdpProblem, z: np.ndarray) -> flo
     return -raw if problem.sense == "max" else raw
 
 
-def _try_farkas(comp: _Compiled, v: np.ndarray, opts: SolveOptions,
-                pocs_iters: int = 3000) -> Optional[np.ndarray]:
+# alternating-projection sweeps that `_try_farkas` runs to open the gap
+POCS_SWEEPS = 3000
+
+
+def _try_farkas(comp: _Compiled, v: np.ndarray, opts: SolveOptions) -> Optional[np.ndarray]:
     """Attempt an infeasibility certificate from the alternating gap.
 
     When the affine set and the cone do not intersect, pure alternating
@@ -400,7 +397,7 @@ def _try_farkas(comp: _Compiled, v: np.ndarray, opts: SolveOptions,
     sum_k (-y_k) A_k >= 0 and b'(-y) < 0, the standard certificate.
     """
     z = comp.project_cone(v)
-    for _ in range(pocs_iters):
+    for _ in range(POCS_SWEEPS):
         z_aff = comp.project_affine(z)
         z_new = comp.project_cone(z_aff)
         if comp.max_abs(z_new - z) < 1e-15:
@@ -427,6 +424,19 @@ def _try_farkas(comp: _Compiled, v: np.ndarray, opts: SolveOptions,
     if lam_min >= -1e-7 * scale and bty < -1e-9 * (1.0 + abs(bty)):
         return y_hat
     return None
+
+
+# Splitting step (the ADMM penalty), over-relaxation factor and the number
+# of iterations between residual checks.
+PENALTY = 1.0
+OVER_RELAX = 1.6
+CHECK_EVERY = 25
+# An objective solve stops once its value moved by at most STALL_TOL
+# (relative) over the last STALL_WINDOW iterations, with the primal residual
+# within feas_tol and the dual residual within DUAL_TOL_FACTOR * feas_tol.
+STALL_TOL = 1e-9
+STALL_WINDOW = 100
+DUAL_TOL_FACTOR = 10.0
 
 
 def solve(problem: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSolution:
@@ -462,10 +472,8 @@ def solve(problem: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSoluti
                 message="inconsistent linear constraints",
             )
 
-    rho = opts.penalty
-    alpha = opts.over_relax
     scale_b = 1.0 + float(np.max(np.abs(comp.b))) if comp.K else 1.0
-    q_step = comp.q / rho
+    q_step = comp.q / PENALTY
 
     if opts.warm_start is not None and opts.warm_start.shape == (comp.dimension,):
         v = np.array(opts.warm_start, dtype=float)
@@ -493,18 +501,18 @@ def solve(problem: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSoluti
             w = comp.project_affine(v - lam - q_step)
         else:
             w = comp.project_affine(v - lam)
-        w_relaxed = alpha * w + (1.0 - alpha) * v
+        w_relaxed = OVER_RELAX * w + (1.0 - OVER_RELAX) * v
         t = w_relaxed + lam
         v = comp.project_cone(t)
         lam = t - v
 
-        if it % opts.check_every == 0 or it == opts.max_iter:
+        if it % CHECK_EVERY == 0 or it == opts.max_iter:
             prim = (
                 float(np.max(np.abs(comp.constraint_values(v) - comp.b)))
                 if comp.K
                 else 0.0
             )
-            dual = rho * comp.max_abs(v - prev_check_v) / opts.check_every
+            dual = PENALTY * comp.max_abs(v - prev_check_v) / CHECK_EVERY
             prev_check_v = v
             obj = _objective_value(comp, problem, v)
             if prim < best_prim:
@@ -517,13 +525,13 @@ def solve(problem: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSoluti
             obj_hist.append(obj)
 
             prim_ok = prim <= opts.feas_tol * scale_b
-            dual_ok = dual <= opts.dual_tol_factor * opts.feas_tol * scale_b
+            dual_ok = dual <= DUAL_TOL_FACTOR * opts.feas_tol * scale_b
             if comp.has_objective:
-                window = opts.stall_window // opts.check_every + 1
+                window = STALL_WINDOW // CHECK_EVERY + 1
                 stalled = (
                     len(obj_hist) > window
                     and abs(obj_hist[-1] - obj_hist[-1 - window])
-                    <= opts.stall_tol * (1.0 + abs(obj_hist[-1]))
+                    <= STALL_TOL * (1.0 + abs(obj_hist[-1]))
                 )
                 if prim_ok and dual_ok and stalled:
                     best_v, best_prim, best_obj = v, prim, obj
@@ -534,7 +542,7 @@ def solve(problem: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSoluti
                     best_v, best_prim, best_obj = v, prim, obj
                     status = OPTIMAL
                     break
-                if stall_counter * opts.check_every >= 4000 and best_prim > 100 * opts.feas_tol * scale_b:
+                if stall_counter * CHECK_EVERY >= 4000 and best_prim > 100 * opts.feas_tol * scale_b:
                     cand = _try_farkas(comp, v, opts)
                     if cand is not None:
                         farkas = cand
@@ -551,7 +559,7 @@ def solve(problem: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSoluti
     X = best_v[:NN].reshape(N, N).copy()
     free = best_v[NN:].copy()
     psd = max(0.0, -min_eigenvalue(X)) if N else 0.0
-    dual_final = rho * comp.max_abs(v - best_v) if it else 0.0
+    dual_final = PENALTY * comp.max_abs(v - best_v) if it else 0.0
     return SdpSolution(
         X=X,
         free=free,

@@ -384,8 +384,12 @@ def single_mixed_term_sos(
     return abs(mu) <= mu0
 
 
+# relative width at which `max_diagonal_shift_single_term` stops bisecting
+SHIFT_BISECT_TOL = 1e-13
+
+
 def max_diagonal_shift_single_term(
-    b: Sequence[float], a: Sequence[int], coeff: float, tol: float = 1e-13
+    b: Sequence[float], a: Sequence[int], coeff: float
 ) -> float:
     """Largest r with sum_i (b_i - r) x_i^{2d} + coeff * x^a a sum of squares.
 
@@ -413,7 +417,7 @@ def max_diagonal_shift_single_term(
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol * (1.0 + abs(hi)):
+        if hi - lo <= SHIFT_BISECT_TOL * (1.0 + abs(hi)):
             break
     return min(cap, lo)
 
@@ -702,13 +706,20 @@ def _negative_point_scan(
 # extreme-point rank reduction
 
 
-def reduce_to_extreme(
-    Q: np.ndarray,
-    system: GramSystem,
-    rank_eps: float = 1e-8,
-    null_eps: float = 1e-8,
-    max_rounds: Optional[int] = None,
-) -> np.ndarray:
+# Relative cuts of `reduce_to_extreme`: eigenvalues of Q above RANGE_EPS
+# times the largest span its range, and the restricted constraint map is
+# injective when its smallest singular value is above NULL_EPS times
+# max(1, the largest).  A step may move the constraint values by at most
+# DRIFT_TOL (1 + their largest magnitude): along a true null direction they
+# move by rounding only, and a merely near-null one (singular value about
+# 1e-9 of the largest) would spoil the exactness of closed-form Gram
+# matrices.
+RANGE_EPS = 1e-8
+NULL_EPS = 1e-8
+DRIFT_TOL = 1e-12
+
+
+def reduce_to_extreme(Q: np.ndarray, system: GramSystem) -> np.ndarray:
     """Walk a feasible Gram matrix to an extreme point of its spectrahedron.
 
     While the constraint map restricted to symmetric perturbations supported
@@ -718,17 +729,17 @@ def reduce_to_extreme(
     rank r obeys r(r+1)/2 <= number of constraints, which is the universal
     square-count bound.  Steps whose numerical constraint drift exceeds a
     tight guard are rolled back, so the output never certifies worse than the
-    input.
+    input.  Every step moves one eigenvalue to zero, so N + 1 rounds bound
+    the walk.
     """
     N = Q.shape[0]
-    rounds = max_rounds if max_rounds is not None else N + 1
     Q = 0.5 * (Q + Q.T)
     vals_ref = _constraint_values(Q, system)
-    drift_guard = 1e-9 * (1.0 + float(np.max(np.abs(vals_ref))))
-    for _ in range(rounds):
+    drift_guard = DRIFT_TOL * (1.0 + float(np.max(np.abs(vals_ref))))
+    for _ in range(N + 1):
         w, V = np.linalg.eigh(Q)
         wmax = max(float(w[-1]), 0.0)
-        keep = w > rank_eps * max(wmax, 1e-30)
+        keep = w > RANGE_EPS * max(wmax, 1e-30)
         r = int(np.count_nonzero(keep))
         if r <= 1:
             break
@@ -745,7 +756,7 @@ def reduce_to_extreme(
         except np.linalg.LinAlgError:  # LAPACK can fail on a finite G; try G'
             U, sv, _ = np.linalg.svd(G.T, full_matrices=True)
             VT = U.T
-        if cols <= len(sv) and sv[min(cols, len(sv)) - 1] > null_eps * max(
+        if cols <= len(sv) and sv[min(cols, len(sv)) - 1] > NULL_EPS * max(
             1.0, sv[0] if len(sv) else 1.0
         ):
             break  # injective: extreme point reached
@@ -777,10 +788,15 @@ def reduce_to_extreme(
     return Q
 
 
+# eigenvalues of a certified Gram matrix at or below RANK_TOL times the
+# largest give no square; `perfbench/verify.py` counts the rank with the same
+# cut
+RANK_TOL = 1e-7
+
+
 def extract_sos_terms(
     Q: np.ndarray,
     basis: MonomialBasis,
-    rank_threshold: float = 1e-7,
     basis_scale: Optional[np.ndarray] = None,
 ) -> Tuple[List[HomogeneousPolynomial], int]:
     """Eigen-split z'Qz into squares; the count is the numerical rank.
@@ -795,7 +811,7 @@ def extract_sos_terms(
     wmax = max(float(w[-1]), 0.0)
     squares: List[HomogeneousPolynomial] = []
     for lam, vec in sorted(zip(w, V.T), key=lambda t: -t[0]):
-        if lam <= rank_threshold * max(wmax, 1e-30):
+        if lam <= RANK_TOL * max(wmax, 1e-30):
             continue
         root = math.sqrt(float(lam))
         terms = {
@@ -979,7 +995,7 @@ def _certify_monolithic(
     # every scaled coefficient by at most feas_tol * (1 + max |rhs|).  Put
     # that bound at half the certificate tolerance of g, and of f after the
     # factor d^alpha, so the stopped iterate passes the check with a 2x
-    # margin over the rank reduction's drift (at most 1e-9 relative).
+    # margin over the rank reduction's drift (at most 1e-12 relative).
     stop = 0.5 * min(
         scaling.tolerance, scaling.tolerance_f / float(np.max(scaling.alpha_scale))
     )

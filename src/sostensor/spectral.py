@@ -53,8 +53,10 @@ class SpectralError(ValueError):
 SCAN_RESTARTS = 60
 SCAN_ITERS = 400
 
-# `brute_force_min` refuses dimensions above this cap
+# `brute_force_min` refuses dimensions above this cap, where descent's
+# sign-pattern grid ends, and runs ORACLE_ITERS descent steps per start
 ORACLE_DIM_CAP = 8
+ORACLE_ITERS = 600
 
 
 @dataclass
@@ -419,8 +421,6 @@ def brute_force_min(
     A: SymmetricTensor,
     restarts: Optional[int] = None,
     seed: int = 0,
-    iters: int = 600,
-    dim_cap: int = ORACLE_DIM_CAP,
 ) -> Tuple[float, np.ndarray]:
     """Independent minimization oracle over the unit m-norm sphere.
 
@@ -430,19 +430,15 @@ def brute_force_min(
     """
     if A.order % 2 != 0:
         raise SpectralError("sphere minimization oracle needs even order")
-    if A.dim > dim_cap:
+    if A.dim > ORACLE_DIM_CAP:
         raise SpectralError(
-            f"dimension {A.dim} above oracle cap {dim_cap}; refusing to under-sample"
+            f"dimension {A.dim} above oracle cap {ORACLE_DIM_CAP}; refusing to under-sample"
         )
     n = A.dim
     if restarts is None:
         restarts = 50 * n
     res = sphere_minimize(
-        A.to_polynomial(),
-        seed=seed,
-        restarts=restarts,
-        iters=iters,
-        grid_cap=3 ** 8,
+        A.to_polynomial(), seed=seed, restarts=restarts, iters=ORACLE_ITERS
     )
     return res.value, res.point
 

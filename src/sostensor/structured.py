@@ -33,6 +33,8 @@ from .tensor import (
 )
 
 BOUNDARY_TOL = 1e-9
+# default cap on the Collatz power iterations of the spectral-radius tests
+POWER_ITER_CAP = 200_000
 _EPS = float(np.finfo(float).eps)
 
 
@@ -216,7 +218,7 @@ def is_b0(
     return True, None
 
 
-def _max_off_entries(A_entries: Dict[Index, Number], n: int, m: int) -> List[Number]:
+def _max_off_entries(A_entries: Dict[Index, Number], n: int) -> List[Number]:
     """Per-row max over off-diagonal entries (absent positions count as 0)."""
     best: List[Number] = [0] * n
     for idx, v in A_entries.items():
@@ -257,7 +259,7 @@ def b0_split(
     work: Dict[Index, Number] = dict(A.entries)
     terms: List[Tuple[Number, FrozenSet[int]]] = []
     for _ in range(n + 1):
-        d = _max_off_entries(work, n, m)
+        d = _max_off_entries(work, n)
         J = [i for i in range(n) if d[i] > 0]
         if not J:
             break
@@ -327,14 +329,13 @@ class BFamilyVerdict:
     quasi_double_b0: bool
     mb0: Optional[bool]  # None when the power iteration stalled
     boundary: bool
-    strict: Dict[str, bool]
     details: Dict[str, object]
 
 
 def classify_b_family(
     B: SymmetricTensor,
     tol: float = BOUNDARY_TOL,
-    power_iter_cap: int = 200_000,
+    power_iter_cap: int = POWER_ITER_CAP,
     form: Optional[HomogeneousPolynomial] = None,
 ) -> BFamilyVerdict:
     """Verdicts for double-B, quasi-double-B0 and MB0 membership.
@@ -400,7 +401,6 @@ def classify_b_family(
         quasi_double_b0=quasi_double_b0,
         mb0=mb0,
         boundary=boundary,
-        strict={"double_b": double_b, "quasi_double_b0": quasi_double_b0},
         details={**mb0_details,
                  "min_gap": float(np.min(gap)) if n else 0.0,
                  "relaxed_positive_gap": positive_gap_relaxed},
@@ -642,9 +642,7 @@ def _collatz_radius(
     raise PowerIterationError(lo_best, hi_best, max_iter)
 
 
-def spectral_radius_nonnegative(
-    Z: SymmetricTensor, tol: float = 1e-8, max_iter: int = 200_000
-) -> float:
+def spectral_radius_nonnegative(Z: SymmetricTensor, tol: float = 1e-8) -> float:
     """Spectral radius of an entrywise nonnegative symmetric tensor.
 
     Raises on negative entries; raises PowerIterationError (with the last
@@ -660,7 +658,7 @@ def spectral_radius_nonnegative(
     f = Z.to_polynomial()
     a, exps, coeffs = pure_and_mixed(f)
     op = _row_operator(exps, coeffs, Z.order, a)
-    return _spectral_radius(op, variable_components(f), worst, tol, max_iter)[0]
+    return _spectral_radius(op, variable_components(f), worst, tol, POWER_ITER_CAP)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +687,7 @@ class HVerdict:
 def is_h_tensor(
     A: SymmetricTensor,
     tol: float = BOUNDARY_TOL,
-    max_iter: int = 200_000,
+    max_iter: int = POWER_ITER_CAP,
     form: Optional[HomogeneousPolynomial] = None,
 ) -> HVerdict:
     """H-tensor test through the comparison tensor.
@@ -870,9 +868,11 @@ def detect_extended_z(
 # Cauchy tensors
 
 
-def cauchy_tensor(
-    c: Sequence[Number], order: int, tol: float = 1e-12
-) -> SymmetricTensor:
+# `cauchy_tensor` rejects an m-fold sum within this relative distance of 0
+CAUCHY_VANISH_TOL = 1e-12
+
+
+def cauchy_tensor(c: Sequence[Number], order: int) -> SymmetricTensor:
     """Tensor with entries 1 / (c[i1] + ... + c[im]).
 
     Rejects generating vectors for which some m-fold sum (nearly) vanishes.
@@ -889,7 +889,7 @@ def cauchy_tensor(
         s: Number = 0
         for i in idx:
             s = s + c[i]
-        if abs(float(s)) <= tol * scale:
+        if abs(float(s)) <= CAUCHY_VANISH_TOL * scale:
             raise ClassificationError(
                 f"vanishing denominator: sum over index {idx} is {s}"
             )

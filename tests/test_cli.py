@@ -13,7 +13,10 @@ from sostensor.fileio import (
     parse_polynomial,
     parse_tensor,
     parse_value,
+    read_tensor,
+    to_json,
 )
+from sostensor.structured import classify
 from sostensor.tensor import HomogeneousPolynomial, from_polynomial, identity_tensor
 
 
@@ -124,6 +127,22 @@ class TestCliCommands:
         main(["classify", str(path), "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["classes"]["b0"]["holds"] is True
+
+    def test_classify_uses_the_api_boundary_band(self, tmp_path, capsys):
+        # each diagonal entry is its row's absolute off-sum (1.6 and 1.2)
+        # plus 1e-7: strictly dominated outside the API's 1e-9 band, inside
+        # a 1e-6 one
+        path = tmp_path / "t.txt"
+        path.write_text(
+            "tensor 4 2\n1 1 1 1 1.6000001\n1 1 1 2 0.3\n1 1 2 2 -0.2\n"
+            "1 2 2 2 0.1\n2 2 2 2 1.2000001\n"
+        )
+        assert main(["classify", str(path), "--format", "json"]) == EXIT_OK
+        classes = json.loads(capsys.readouterr().out)["classes"]
+        api = classify(read_tensor(str(path))).to_dict()["classes"]
+        assert classes == json.loads(to_json(api))
+        assert classes["h_tensor_nonsingular"]["holds"] is True
+        assert classes["h_tensor_nonsingular"]["boundary"] is False
 
     def test_classify_parse_error(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"

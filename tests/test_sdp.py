@@ -207,12 +207,12 @@ class TestFullMatrixIterate:
         p = gram_problem()
         opts = sdp.SolveOptions(feas_tol=5e-7)
         sol = sdp.solve(p, opts)
-        assert sol.status == sdp.OPTIMAL and sol.iterations > opts.check_every
+        assert sol.status == sdp.OPTIMAL and sol.iterations > sdp.CHECK_EVERY
         again = sdp.solve(
             p, sdp.SolveOptions(feas_tol=5e-7, warm_start=sdp.pack_iterate(sol.X))
         )
         assert again.status == sdp.OPTIMAL
-        assert again.iterations == opts.check_every
+        assert again.iterations == sdp.CHECK_EVERY
 
     def test_asymmetric_warm_start_is_symmetrized(self):
         X0 = np.array([[1.0, 0.2], [0.9, 1.0]])

@@ -976,6 +976,7 @@ class TestAmgmRoute:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10 ** 6), st.sampled_from([4, 6]))
     @example(seed=12891, order=6)
+    @example(seed=330, order=6)
     def test_dominated_forms_take_the_amgm_route(self, seed, order):
         f = _dominated_form(seed, order)
         exps, coeffs = _exps_coeffs(f)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -276,6 +278,27 @@ class TestZSandwich:
             assert type(v) is float
             assert v <= bf + 1e-12 * (1 + abs(bf))
             assert bf - v <= tol
+
+    def test_rounding_allowance_keeps_equal_weight_forms_sound(self):
+        # f = sum x_i^4 - t sum_{i<j} x_i^2 x_j^2 has its minimum over the
+        # sphere, 1 - t (n - 1) / 2, at the all-equal point, where the
+        # iteration closes to within rounding of rho(N); without the
+        # allowance the value lands above that minimum on some of these
+        tol = 1e-6
+        for n in range(3, 8):
+            for k in range(1, 40):
+                t = k / (32 * (n - 1))
+                terms = {}
+                for i in range(n):
+                    terms[tuple(4 if v == i else 0 for v in range(n))] = 1.0
+                    for j in range(i + 1, n):
+                        terms[tuple(2 if v in (i, j) else 0 for v in range(n))] = -t
+                f = HomogeneousPolynomial(4, n, terms)
+                exact = 1 - Fraction(t) * (n - 1) / 2
+                v, method, _ = spectral._form_value(f, EigMinOptions(tol=tol))
+                assert method == "z_sandwich"
+                assert Fraction(v) <= exact, (n, k)
+                assert exact - Fraction(v) <= tol, (n, k)
 
 
 # the classes whose forms carry mixed terms of both signs, each at order 4,
