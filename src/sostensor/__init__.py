@@ -50,7 +50,7 @@ from .sos import (
     single_mixed_term_sos,
     sos_rank_bounds,
 )
-from .sdp import SdpConstraint, SdpProblem, SdpSolution, SolveOptions, psd_project, solve
+from .sdp import SdpProblem, SdpSolution, SolveOptions, psd_project, solve
 from .spectral import (
     EigMinOptions,
     EigMinResult,

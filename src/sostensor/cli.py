@@ -36,21 +36,23 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="sostensor", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, fmt=True):
-        sp.add_argument("--seed", type=int, default=0)
-        # None: each command takes its API's default tolerance
-        sp.add_argument("--tol", type=float, default=None)
+    def common(sp, fmt=True, seed=True, tol=True):
+        if seed:
+            sp.add_argument("--seed", type=int, default=0)
+        if tol:
+            # None: each command takes its API's default tolerance
+            sp.add_argument("--tol", type=float, default=None)
         if fmt:
             sp.add_argument("--format", choices=("text", "json"), default="text")
         sp.add_argument("--out", type=str, default=None)
 
     c = sub.add_parser("classify", help="structured-class report for a tensor file")
     c.add_argument("file")
-    common(c)
+    common(c, seed=False)
 
     s = sub.add_parser("sos", help="sum-of-squares certification")
     s.add_argument("file")
-    common(s)
+    common(s, tol=False)
 
     e = sub.add_parser("eigmin", help="minimum H-eigenvalue")
     e.add_argument("file")
@@ -82,7 +84,7 @@ def _build_parser() -> _Parser:
     g.add_argument("--k", type=int, default=2)
     g.add_argument("--big-m", type=float, default=100.0)
     g.add_argument("--cls", type=str, default="b0")
-    common(g, fmt=False)
+    common(g, fmt=False, tol=False)
 
     r = sub.add_parser("repro", help="reproduction tables")
     r.add_argument("--suite", choices=("examples", "pd-test"), required=True)

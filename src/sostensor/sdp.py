@@ -1,30 +1,30 @@
-"""Small-scale semidefinite solver: one PSD block plus free scalars.
+"""Small-scale semidefinite solver for Gram coefficient-matching systems.
 
 Solves
-    min / max   <C, X> + d' u
+    min / max   d' u
     subject to  <A_k, X> + c_k' u = b_k,   k = 1..K,
                 X symmetric positive semidefinite,  u free,
 
-by operator splitting: each sweep alternates (a) projection of the matrix
-iterate onto the PSD cone by eigenvalue clamping, (b) least-squares projection
-onto the affine constraint set, and (c) a linear objective tilt folded into
-the affine step.  Everything is deterministic for fixed inputs and options.
+where each A_k is 0/1 and every position of X lies in exactly one A_k: the
+constraints are a label map, one row label per position, as the Gram
+systems of `sos` build them.  Operator splitting alternates (a) projection
+of the matrix iterate onto the PSD cone by eigenvalue clamping, (b)
+least-squares projection onto the affine constraint set, and (c) a linear
+objective tilt folded into the affine step.  Everything is deterministic
+for fixed inputs and options.
 
 The iterate is z = [vec(X); u] with X the full symmetric N x N matrix.  Under
 the Frobenius inner product vec is an isometry of the symmetric matrices (as
-svec is), so no packing happens per sweep.  The constraints are compiled
-once into a `ConstraintMap`.  When their rows touch pairwise disjoint matrix
-positions, as Gram coefficient-matching systems do, the map is one row label
-per position, the normal matrix is diagonal plus a rank-F correction from the
-free columns, and the affine projection is one bincount and one gather.
-Generic (small) problems use a dense pseudo-inverse instead.
+svec is), so no packing happens per sweep.  The normal matrix is diagonal
+plus a rank-F correction from the free columns, and the affine projection
+is one bincount and one gather.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,135 +37,62 @@ class SdpError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SdpConstraint:
-    """<A, X> + c' u = rhs with A sparse symmetric (upper-triangle entries)."""
-
-    matrix_entries: Tuple[Tuple[int, int, float], ...]
-    free_coeffs: Tuple[float, ...]
-    rhs: float
-
-
 @dataclass(frozen=True, eq=False)
 class ConstraintMap:
     """The map X -> (<A_k, X>)_k over the N*N positions of X, row-major.
 
-    When every position feeds at most one row, `label[p]` is the row fed by
-    position p (`num_rows` when it feeds none) and `weight[p]` the entry of
-    that A_k at p (None: all ones).  Both triangles of each symmetric A_k are
-    stored, so row norms are Frobenius norms.  Otherwise `rows` holds the
-    dense num_rows x N*N matrix.
+    `label[p]` is the row k fed by position p, with coefficient 1: every
+    position feeds exactly one row, and every row is fed by at least one
+    position.  A Gram system labels (p, q) with the coefficient of
+    beta_p + beta_q, so both triangles of a symmetric A_k carry its label.
     """
 
     size: int
     num_rows: int
-    label: Optional[np.ndarray] = None
-    weight: Optional[np.ndarray] = None
-    rows: Optional[np.ndarray] = None
-
-    @classmethod
-    def from_entries(cls, size: int, num_rows: int, k, i, j, v) -> "ConstraintMap":
-        """Compile the upper-triangle entries (k, i, j, v), i <= j, of the A_k."""
-        k, i, j = (np.asarray(a, dtype=np.intp) for a in (k, i, j))
-        v = np.asarray(v, dtype=float)
-        upper, lower = i * size + j, j * size + i
-        if np.all(np.bincount(upper, minlength=size * size) <= 1):
-            label = np.full(size * size, num_rows, dtype=np.intp)
-            weight = np.zeros(size * size)
-            label[upper] = k
-            label[lower] = k
-            weight[upper] = v
-            weight[lower] = v
-            return cls(size, num_rows, label=label, weight=weight)
-        rows = np.zeros((num_rows, size * size))
-        np.add.at(rows, (k, upper), v)
-        off = i != j
-        np.add.at(rows, (k[off], lower[off]), v[off])
-        return cls(size, num_rows, rows=rows)
+    label: np.ndarray
 
     def values(self, x: np.ndarray) -> np.ndarray:
         """(<A_k, X>)_k for x = vec(X)."""
-        if self.rows is not None:
-            return self.rows @ x
-        w = x if self.weight is None else self.weight * x
-        return np.bincount(self.label, w, self.num_rows + 1)[: self.num_rows]
-
-    def dense(self) -> np.ndarray:
-        if self.rows is not None:
-            return self.rows
-        M = np.zeros((self.num_rows + 1, self.size * self.size))
-        M[self.label, np.arange(self.size * self.size)] = (
-            1.0 if self.weight is None else self.weight
-        )
-        return M[: self.num_rows]
-
-    def entries(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Nonzero upper-triangle entries (k, i, j, v), ordered by row k."""
-        iu, ju = np.triu_indices(self.size)
-        pos = iu * self.size + ju
-        if self.rows is not None:
-            k, c = np.nonzero(self.rows[:, pos])
-            return k, iu[c], ju[c], self.rows[k, pos[c]]
-        lab = self.label[pos]
-        c = np.flatnonzero(lab < self.num_rows)
-        c = c[np.argsort(lab[c], kind="stable")]
-        v = np.ones(len(c)) if self.weight is None else self.weight[pos[c]]
-        return lab[c], iu[c], ju[c], v
+        return np.bincount(self.label, x, self.num_rows)
 
 
 @dataclass
 class SdpProblem:
-    """Constraints given as `SdpConstraint`s, or already compiled.
+    """A label map, its right-hand side b and the free columns.
 
-    A constraint list is compiled on construction into `operator` (the
-    `ConstraintMap` of the A_k), `rhs` (the b_k) and `free_matrix` (the c_k
-    as rows, K x num_free).  Callers that solve many problems over one map
-    pass those three directly and leave `constraints` empty.
+    `operator` is the `ConstraintMap` of the A_k, `rhs` the b_k and
+    `free_matrix` the c_k as rows (K x num_free, zero when None).
     """
 
     block_size: int
     num_free: int
-    constraints: List[SdpConstraint] = field(default_factory=list)
-    objective_matrix: Tuple[Tuple[int, int, float], ...] = ()
+    operator: ConstraintMap
+    rhs: np.ndarray
+    free_matrix: Optional[np.ndarray] = None
     objective_free: Tuple[float, ...] = ()
     sense: str = "min"
-    operator: Optional[ConstraintMap] = None
-    rhs: Optional[np.ndarray] = None
-    free_matrix: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.sense not in ("min", "max"):
             raise SdpError(f"bad sense {self.sense!r}")
         N, F = self.block_size, self.num_free
-        if self.operator is None:
-            ks, iis, jjs, vs = [], [], [], []
-            for k, con in enumerate(self.constraints):
-                for i, j, v in con.matrix_entries:
-                    if not (0 <= i <= j < N):
-                        raise SdpError(f"matrix entry ({i},{j}) outside upper triangle")
-                    ks.append(k)
-                    iis.append(i)
-                    jjs.append(j)
-                    vs.append(v)
-                if len(con.free_coeffs) != F:
-                    raise SdpError("free coefficient row has wrong length")
-            K = len(self.constraints)
-            self.operator = ConstraintMap.from_entries(N, K, ks, iis, jjs, vs)
-            self.rhs = np.array([float(c.rhs) for c in self.constraints])
-            self.free_matrix = np.array(
-                [c.free_coeffs for c in self.constraints], dtype=float
-            ).reshape(K, F)
-            return
-        if self.constraints:
-            raise SdpError("give constraints or a compiled operator, not both")
-        K = self.operator.num_rows
-        if self.operator.size != N:
-            raise SdpError("operator size differs from the block size")
+        op = self.operator
+        K = op.num_rows
+        if N < 1 or op.size != N:
+            raise SdpError(f"operator of size {op.size} for block size {N}")
+        label = np.asarray(op.label)
+        if label.shape != (N * N,) or label.dtype.kind not in "iu":
+            raise SdpError("label map needs one integer label per matrix position")
+        if label.min() < 0 or label.max() >= K:
+            raise SdpError("label outside the constraint rows")
+        if np.count_nonzero(np.bincount(label, minlength=K)) != K:
+            raise SdpError("some constraint row is fed by no matrix position")
         self.rhs = np.asarray(self.rhs, dtype=float)
         if self.rhs.shape != (K,):
             raise SdpError("right-hand side has wrong length")
         if self.free_matrix is None:
             self.free_matrix = np.zeros((K, F))
+        self.free_matrix = np.asarray(self.free_matrix, dtype=float)
         if self.free_matrix.shape != (K, F):
             raise SdpError("free coefficient matrix has wrong shape")
 
@@ -181,7 +108,6 @@ class SdpSolution:
     status: str
     iterations: int
     farkas: Optional[np.ndarray] = None
-    message: str = ""
 
 
 @dataclass
@@ -242,57 +168,27 @@ def min_eigenvalue(S: np.ndarray) -> float:
 
 
 class _Compiled:
-    """The problem's arrays in the iterate layout z = [vec(X); u].
-
-    With disjoint rows the row-indexed arrays carry one extra row K that
-    collects the positions outside every constraint: its residual is
-    always 0 and its normal-matrix entry infinite, so it never moves them.
-    """
+    """The problem's arrays in the iterate layout z = [vec(X); u]."""
 
     def __init__(self, problem: SdpProblem):
         N, F = problem.block_size, problem.num_free
         op = problem.operator
         K = op.num_rows
-        self.N, self.F, self.K, self.NN = N, F, K, N * N
+        self.N, self.F, self.NN = N, F, N * N
         self.dimension = N * N + F
         self.op = op
         self.b = problem.rhs
         self.U = problem.free_matrix
-        self._dense: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        self._null_left: Optional[np.ndarray] = None
-
-        D = None
-        if op.label is not None:
-            sq = None if op.weight is None else op.weight ** 2
-            D = np.bincount(op.label, sq, K + 1)[:K]
-        if D is not None and np.all(D > 0):
-            self._D1 = np.append(D, math.inf)
-            self._b1 = np.append(self.b, 0.0)
-            self._U1 = np.vstack([self.U, np.zeros((1, F))])
-            if F:
-                # (A A' + U U')^-1 = D^-1 - D^-1 U W^-1 U' D^-1, W = I + U' D^-1 U
-                Dinv_U = self.U / D[:, None]
-                W = np.eye(F) + self.U.T @ Dinv_U
-                self._corr1 = np.vstack([Dinv_U @ np.linalg.inv(W), np.zeros((1, F))])
-        else:
-            if K > 4000:
-                raise SdpError("constraint system too large for dense fallback")
-            M = np.hstack([op.dense(), self.U])
-            w, V = np.linalg.eigh(M @ M.T)
-            tol = max(1e-13 * max(w[-1], 1.0), 1e-300)
-            inv = np.where(w > tol, 1.0 / np.maximum(w, tol), 0.0)
-            Ginv = (V * inv) @ V.T
-            self._dense = (M, Ginv, M.T @ Ginv)
-            null_mask = w <= tol
-            if np.any(null_mask):
-                self._null_left = V[:, null_mask]
+        # A A' is diagonal: D_k counts the positions labelled k
+        self.D = np.bincount(op.label, minlength=K).astype(float)
+        if F:
+            # (A A' + U U')^-1 = D^-1 - D^-1 U W^-1 U' D^-1, W = I + U' D^-1 U
+            Dinv_U = self.U / self.D[:, None]
+            W = np.eye(F) + self.U.T @ Dinv_U
+            self.corr = Dinv_U @ np.linalg.inv(W)
 
         # objective in vector form, with min-sense sign
         q = np.zeros(self.dimension)
-        for i, j, v in problem.objective_matrix:
-            q[i * N + j] += v
-            if i != j:
-                q[j * N + i] += v
         objective_free = np.asarray(problem.objective_free, dtype=float)
         q[self.NN: self.NN + len(objective_free)] += objective_free
         if problem.sense == "max":
@@ -313,43 +209,23 @@ class _Compiled:
             vals = vals + self.U @ z[self.NN:]
         return vals
 
-    # disjoint rows: normal solve and adjoint on the K+1 rows
-    def _normal1(self, r: np.ndarray) -> np.ndarray:
-        r /= self._D1
+    def solve_normal(self, r: np.ndarray) -> np.ndarray:
+        """(A A' + U U')^-1 r, overwriting r."""
+        r /= self.D
         if self.F:
-            r -= self._corr1 @ (self._U1.T @ r)
+            r -= self.corr @ (self.U.T @ r)
         return r
 
-    def _adjoint1(self, y: np.ndarray) -> np.ndarray:
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
         g = y[self.op.label]
-        if self.op.weight is not None:
-            g *= self.op.weight
         if self.F:
-            return np.concatenate([g, self._U1.T @ y])
+            return np.concatenate([g, self.U.T @ y])
         return g
 
-    def adjoint(self, y: np.ndarray) -> np.ndarray:
-        if self._dense is not None:
-            return self._dense[0].T @ y
-        return self._adjoint1(np.append(y, 0.0))
-
-    def solve_normal(self, r: np.ndarray) -> np.ndarray:
-        if self._dense is not None:
-            return self._dense[1] @ r
-        return self._normal1(np.append(r, 0.0))[: self.K]
-
     def project_affine(self, z: np.ndarray) -> np.ndarray:
-        if self._dense is not None:
-            M, _, H = self._dense
-            return z - H @ (M @ z - self.b)
-        X = z[: self.NN]
-        r = np.bincount(
-            self.op.label, X if self.op.weight is None else self.op.weight * X, self.K + 1
-        )
-        if self.F:
-            r += self._U1 @ z[self.NN:]
-        r -= self._b1
-        return z - self._adjoint1(self._normal1(r))
+        r = self.constraint_values(z)
+        r -= self.b
+        return z - self.adjoint(self.solve_normal(r))
 
     def project_cone(self, z: np.ndarray) -> np.ndarray:
         """z itself when its matrix part is PSD, else a new clamped iterate."""
@@ -360,22 +236,6 @@ class _Compiled:
         if not self.F:
             return Y.ravel()
         return np.concatenate([Y.ravel(), z[self.NN:]])
-
-
-def residuals(problem: SdpProblem, sol: SdpSolution) -> Tuple[float, float, float]:
-    """(primal, dual, psd) residuals of a solution against the problem data.
-
-    Primal is the max absolute constraint violation, psd the magnitude of the
-    most negative eigenvalue of X; the dual residual is the splitting-scheme
-    value cached on the solution.
-    """
-    X = np.asarray(sol.X, dtype=float)
-    vals = problem.operator.values(X.ravel()) + problem.free_matrix @ np.asarray(
-        sol.free, dtype=float
-    )
-    primal = float(np.max(np.abs(vals - problem.rhs))) if len(vals) else 0.0
-    psd = max(0.0, -min_eigenvalue(X))
-    return primal, float(sol.dual_residual), psd
 
 
 def _objective_value(comp: _Compiled, problem: SdpProblem, z: np.ndarray) -> float:
@@ -392,9 +252,8 @@ def _try_farkas(comp: _Compiled, v: np.ndarray, opts: SolveOptions) -> Optional[
 
     When the affine set and the cone do not intersect, pure alternating
     projection settles into a gap e = P_affine(z) - z with e in the row space
-    of the constraints; mapping e back as e = M' y yields y with
-    sum_k y_k A_k negative semidefinite-free ... specifically -y satisfies
-    sum_k (-y_k) A_k >= 0 and b'(-y) < 0, the standard certificate.
+    of the constraints.  Mapping e back as e = A' y gives y whose negation is
+    the standard certificate: sum_k (-y_k) A_k >= 0 and b'(-y) < 0.
     """
     z = comp.project_cone(v)
     for _ in range(POCS_SWEEPS):
@@ -452,27 +311,7 @@ def solve(problem: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSoluti
     comp = _Compiled(problem)
     N, NN = comp.N, comp.NN
 
-    if comp._null_left is not None:
-        # structurally dependent rows: inconsistent rhs is immediate evidence
-        resid = comp._null_left.T @ comp.b
-        if np.max(np.abs(resid)) > 1e-10 * (1.0 + np.linalg.norm(comp.b)):
-            j = int(np.argmax(np.abs(resid)))
-            u = comp._null_left[:, j]
-            y_hat = -u * np.sign(float(u @ comp.b))
-            return SdpSolution(
-                X=np.zeros((N, N)),
-                free=np.zeros(comp.F),
-                objective_value=math.nan,
-                primal_residual=math.inf,
-                dual_residual=math.inf,
-                psd_violation=0.0,
-                status=INFEASIBLE_EVIDENCE,
-                iterations=0,
-                farkas=y_hat,
-                message="inconsistent linear constraints",
-            )
-
-    scale_b = 1.0 + float(np.max(np.abs(comp.b))) if comp.K else 1.0
+    scale_b = 1.0 + float(np.max(np.abs(comp.b)))
     q_step = comp.q / PENALTY
 
     if opts.warm_start is not None and opts.warm_start.shape == (comp.dimension,):
@@ -507,11 +346,7 @@ def solve(problem: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSoluti
         lam = t - v
 
         if it % CHECK_EVERY == 0 or it == opts.max_iter:
-            prim = (
-                float(np.max(np.abs(comp.constraint_values(v) - comp.b)))
-                if comp.K
-                else 0.0
-            )
+            prim = float(np.max(np.abs(comp.constraint_values(v) - comp.b)))
             dual = PENALTY * comp.max_abs(v - prev_check_v) / CHECK_EVERY
             prev_check_v = v
             obj = _objective_value(comp, problem, v)
@@ -550,7 +385,7 @@ def solve(problem: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSoluti
                         break
                     stall_counter = 0
 
-    if status == INCONCLUSIVE and not comp.has_objective and comp.K:
+    if status == INCONCLUSIVE and not comp.has_objective:
         cand = _try_farkas(comp, v, opts)
         if cand is not None:
             farkas = cand
@@ -558,84 +393,16 @@ def solve(problem: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSoluti
 
     X = best_v[:NN].reshape(N, N).copy()
     free = best_v[NN:].copy()
-    psd = max(0.0, -min_eigenvalue(X)) if N else 0.0
-    dual_final = PENALTY * comp.max_abs(v - best_v) if it else 0.0
+    psd = max(0.0, -min_eigenvalue(X))
+    dual_final = PENALTY * comp.max_abs(v - best_v)
     return SdpSolution(
         X=X,
         free=free,
         objective_value=best_obj,
-        primal_residual=best_prim if comp.K else 0.0,
+        primal_residual=best_prim,
         dual_residual=dual_final,
         psd_violation=psd,
         status=status,
         iterations=it,
         farkas=farkas,
     )
-
-
-# ---------------------------------------------------------------------------
-# plain-text dump / load for offline debugging
-
-
-def dump_problem(problem: SdpProblem) -> str:
-    K = problem.operator.num_rows
-    lines = [f"sdp {problem.block_size} {problem.num_free} {K}",
-             f"sense {problem.sense}"]
-    for i, j, v in problem.objective_matrix:
-        lines.append(f"obj m {i} {j} {v!r}")
-    for idx, v in enumerate(problem.objective_free):
-        if v:
-            lines.append(f"obj f {idx} {v!r}")
-    ks, iis, jjs, vs = problem.operator.entries()
-    starts = np.searchsorted(ks, np.arange(K + 1))
-    for k in range(K):
-        for e in range(starts[k], starts[k + 1]):
-            lines.append(f"{k} {int(iis[e])} {int(jjs[e])} {float(vs[e])!r}")
-        for idx, v in enumerate(problem.free_matrix[k]):
-            if v:
-                lines.append(f"free {k} {idx} {float(v)!r}")
-        lines.append(f"rhs {k} {float(problem.rhs[k])!r}")
-    return "\n".join(lines) + "\n"
-
-
-def load_problem(text: str) -> SdpProblem:
-    header = None
-    sense = "min"
-    obj_m: List[Tuple[int, int, float]] = []
-    obj_f: Dict[int, float] = {}
-    mat: Dict[int, List[Tuple[int, int, float]]] = {}
-    fre: Dict[int, Dict[int, float]] = {}
-    rhs: Dict[int, float] = {}
-    for raw in text.splitlines():
-        tok = raw.split()
-        if not tok or tok[0].startswith("#"):
-            continue
-        if tok[0] == "sdp":
-            header = (int(tok[1]), int(tok[2]), int(tok[3]))
-        elif tok[0] == "sense":
-            sense = tok[1]
-        elif tok[0] == "obj":
-            if tok[1] == "m":
-                obj_m.append((int(tok[2]), int(tok[3]), float(tok[4])))
-            else:
-                obj_f[int(tok[2])] = float(tok[3])
-        elif tok[0] == "free":
-            fre.setdefault(int(tok[1]), {})[int(tok[2])] = float(tok[3])
-        elif tok[0] == "rhs":
-            rhs[int(tok[1])] = float(tok[2])
-        else:
-            k = int(tok[0])
-            mat.setdefault(k, []).append((int(tok[1]), int(tok[2]), float(tok[3])))
-    if header is None:
-        raise SdpError("missing sdp header line")
-    N, F, K = header
-    constraints = []
-    for k in range(K):
-        coeffs = [0.0] * F
-        for idx, v in fre.get(k, {}).items():
-            coeffs[idx] = v
-        constraints.append(
-            SdpConstraint(tuple(mat.get(k, [])), tuple(coeffs), rhs.get(k, 0.0))
-        )
-    objective_free = tuple(obj_f.get(i, 0.0) for i in range(F))
-    return SdpProblem(N, F, constraints, tuple(obj_m), objective_free, sense)

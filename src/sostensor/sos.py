@@ -242,7 +242,9 @@ class NotCertified:
     status: str  # "not_sos" | "inconclusive"
     witness_point: Optional[np.ndarray] = None
     witness_value: Optional[float] = None
-    farkas: Optional[np.ndarray] = None
+    # separating certificate: y_alpha per exponent alpha, with
+    # sum_alpha y_alpha E_alpha PSD and sum_alpha y_alpha f_alpha < 0
+    farkas: Optional[Dict[Exponent, float]] = None
     message: str = ""
 
     def to_dict(self) -> dict:
@@ -252,6 +254,9 @@ class NotCertified:
             if self.witness_point is None
             else [float(v) for v in self.witness_point],
             "witness_value": self.witness_value,
+            "farkas": None
+            if self.farkas is None
+            else [[list(a), float(y)] for a, y in self.farkas.items()],
             "message": self.message,
         }
 
@@ -1009,9 +1014,10 @@ def _certify_monolithic(
 
     if sol.status == sdp.INFEASIBLE_EVIDENCE:
         # y separates g's coefficients; y / d^alpha separates f's
+        y = sol.farkas / scaling.alpha_scale
         return NotCertified(
             "not_sos",
-            farkas=sol.farkas / scaling.alpha_scale,
+            farkas=dict(zip(system.alphas, y.tolist())),
             message="separating certificate found for the Gram system",
         )
 
@@ -1061,6 +1067,14 @@ def _finish_certificate(
     )
 
 
+def _lift(alpha: Exponent, vars_: Sequence[int], n: int) -> Exponent:
+    """The exponent alpha over `vars_`, as an exponent over n variables."""
+    full = [0] * n
+    for j, v in enumerate(vars_):
+        full[v] = alpha[j]
+    return tuple(full)
+
+
 def _certify_blockwise(
     f: HomogeneousPolynomial,
     parts,
@@ -1090,6 +1104,10 @@ def _certify_blockwise(
                 for j, v in enumerate(vars_):
                     lifted[v] = result.witness_point[j]
                 result.witness_point = lifted
+            if result.farkas is not None:
+                result.farkas = {
+                    _lift(a, vars_, n): y for a, y in result.farkas.items()
+                }
             result.message = f"block {tuple(v for v in vars_)}: {result.message}"
             return result
         total_rank += result.rank_estimate
@@ -1097,12 +1115,7 @@ def _certify_blockwise(
         structure.append(tuple(vars_))
         methods.append(result.method)
         # lift block squares and Gram entries back to the full variable set
-        lifted = {}
-        for alpha in result.basis.exponents:
-            full = [0] * n
-            for j, v in enumerate(vars_):
-                full[v] = alpha[j]
-            lifted[alpha] = tuple(full)
+        lifted = {alpha: _lift(alpha, vars_, n) for alpha in result.basis.exponents}
         for s in result.squares:
             terms = {lifted[alpha]: c for alpha, c in s.terms.items()}
             squares.append(HomogeneousPolynomial(m // 2, n, terms))

@@ -292,6 +292,18 @@ class TestCliCommands:
     def test_bad_usage(self, capsys):
         assert main(["gen", "bogus_kind"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("command, flag", [
+        ("classify", ["--seed", "3"]),
+        ("sos", ["--tol", "1e-3"]),
+        ("gen", ["--tol", "1e-3"]),
+    ])
+    def test_flags_a_command_ignores_are_rejected(self, tmp_path, capsys, command, flag):
+        path = tmp_path / "t.txt"
+        assert main(["gen", "identity", "--out", str(path)]) == EXIT_OK
+        args = ["gen", "identity"] if command == "gen" else [command, str(path)]
+        assert main(args + flag) == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_repro_pd_suite_small(self, capsys):
         code = main(
             ["repro", "--suite", "pd-test", "--count", "4", "--seed", "7",

@@ -4,13 +4,22 @@ import pytest
 from sostensor import sdp
 
 
+def label_problem(labels, rhs, free_matrix=None, **kw):
+    """A problem on the N x N block whose position p feeds row labels[p]."""
+    labels = np.array(labels, dtype=np.intp)
+    N = int(round(len(labels) ** 0.5))
+    op = sdp.ConstraintMap(N, int(labels.max()) + 1, labels)
+    F = 0 if free_matrix is None else np.shape(free_matrix)[1]
+    return sdp.SdpProblem(
+        N, F, operator=op, rhs=np.array(rhs, dtype=float),
+        free_matrix=None if free_matrix is None else np.array(free_matrix, dtype=float),
+        **kw,
+    )
+
+
 def feas_problem(x12):
-    cons = [
-        sdp.SdpConstraint(((0, 0, 1.0),), (), 1.0),
-        sdp.SdpConstraint(((1, 1, 1.0),), (), 1.0),
-        sdp.SdpConstraint(((0, 1, 0.5),), (), x12),
-    ]
-    return sdp.SdpProblem(2, 0, cons)
+    # X00 = 1, X11 = 1, X01 + X10 = 2 * x12
+    return label_problem([0, 2, 2, 1], [1.0, 1.0, 2.0 * x12])
 
 
 class TestSolve:
@@ -26,37 +35,22 @@ class TestSolve:
         assert sol.status == sdp.INFEASIBLE_EVIDENCE
         y = sol.farkas
         assert y is not None
-        S = np.array([[y[0], 0.5 * y[2]], [0.5 * y[2], y[1]]])
+        # sum_k y_k A_k, with both X01 and X10 in row 2
+        S = np.array([[y[0], y[2]], [y[2], y[1]]])
         assert np.linalg.eigvalsh(S)[0] >= -1e-7
-        assert float(np.array([1.0, 1.0, 1.1]) @ y) < 0
+        assert float(np.array([1.0, 1.0, 2.2]) @ y) < 0
 
-    def test_min_trace(self):
-        cons = [sdp.SdpConstraint(((0, 0, 1.0), (1, 1, 1.0)), (), 2.0)]
-        p = sdp.SdpProblem(
-            2, 0, cons, objective_matrix=((0, 0, 1.0), (1, 1, 1.0)), sense="min"
+    def test_free_variable_objective(self):
+        # max r with X00 - r = 1, X11 + r = 1, X01 + X10 = 0
+        # => r* = 1 at X = diag(2, 0)
+        p = label_problem(
+            [0, 2, 2, 1], [1.0, 1.0, 0.0], free_matrix=[[-1.0], [1.0], [0.0]],
+            objective_free=(1.0,), sense="max",
         )
         sol = sdp.solve(p)
         assert sol.status == sdp.OPTIMAL
-        assert sol.objective_value == pytest.approx(2.0, abs=1e-6)
-
-    def test_free_variable_objective(self):
-        # max r with X11 - r = 1, X22 + r = 1 => r* = 1 at X = diag(2, 0)
-        cons = [
-            sdp.SdpConstraint(((0, 0, 1.0),), (-1.0,), 1.0),
-            sdp.SdpConstraint(((1, 1, 1.0),), (1.0,), 1.0),
-        ]
-        p = sdp.SdpProblem(2, 1, cons, objective_free=(1.0,), sense="max")
-        sol = sdp.solve(p)
-        assert sol.status == sdp.OPTIMAL
         assert sol.free[0] == pytest.approx(1.0, abs=1e-5)
-
-    def test_inconsistent_rows_detected(self):
-        cons = [
-            sdp.SdpConstraint(((0, 0, 1.0),), (), 1.0),
-            sdp.SdpConstraint(((0, 0, 1.0),), (), 2.0),
-        ]
-        sol = sdp.solve(sdp.SdpProblem(1, 0, cons))
-        assert sol.status == sdp.INFEASIBLE_EVIDENCE
+        assert sol.objective_value == pytest.approx(1.0, abs=1e-5)
 
     def test_determinism(self):
         p = feas_problem(0.7)
@@ -67,27 +61,18 @@ class TestSolve:
         assert a.objective_value == b.objective_value
 
     def test_scale_covariance(self):
+        # the constraints are homogeneous in (X, b): scaling b scales X
         p = feas_problem(0.6)
-        scaled = sdp.SdpProblem(
-            2,
-            0,
-            [
-                sdp.SdpConstraint(
-                    tuple((i, j, 3.0 * v) for i, j, v in c.matrix_entries),
-                    (),
-                    3.0 * c.rhs,
-                )
-                for c in p.constraints
-            ],
-        )
+        scaled = label_problem([0, 2, 2, 1], 3.0 * p.rhs)
         a, b = sdp.solve(p), sdp.solve(scaled)
-        assert np.allclose(a.X, b.X, atol=1e-7)
+        assert np.allclose(3.0 * a.X, b.X, atol=1e-6)
 
     def test_best_iterate_primal_tracked(self):
-        sol = sdp.solve(feas_problem(0.5))
-        primal, _, psd = sdp.residuals(feas_problem(0.5), sol)
+        p = feas_problem(0.5)
+        sol = sdp.solve(p)
+        primal = float(np.max(np.abs(p.operator.values(sol.X.ravel()) - p.rhs)))
         assert primal == pytest.approx(sol.primal_residual, abs=1e-12)
-        assert psd <= 1e-9
+        assert sol.psd_violation <= 1e-9
 
 
 class TestProjection:
@@ -113,63 +98,6 @@ class TestProjection:
     def test_nonfinite_rejected(self):
         with pytest.raises(sdp.SdpError):
             sdp.psd_project(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-
-class TestResiduals:
-    def test_exact_point(self):
-        p = feas_problem(0.9)
-        sol = sdp.SdpSolution(
-            X=np.array([[1.0, 0.9], [0.9, 1.0]]),
-            free=np.zeros(0),
-            objective_value=0.0,
-            primal_residual=0.0,
-            dual_residual=0.0,
-            psd_violation=0.0,
-            status=sdp.OPTIMAL,
-            iterations=0,
-        )
-        primal, _, psd = sdp.residuals(p, sol)
-        assert primal == pytest.approx(0.0, abs=1e-12)
-        assert psd == pytest.approx(0.0, abs=1e-12)
-
-    def test_zero_matrix_violates(self):
-        p = sdp.SdpProblem(1, 0, [sdp.SdpConstraint(((0, 0, 1.0),), (), 1.0)])
-        sol = sdp.SdpSolution(
-            X=np.zeros((1, 1)), free=np.zeros(0), objective_value=0.0,
-            primal_residual=0.0, dual_residual=0.0, psd_violation=0.0,
-            status=sdp.OPTIMAL, iterations=0,
-        )
-        primal, _, _ = sdp.residuals(p, sol)
-        assert primal == pytest.approx(1.0)
-
-    def test_psd_violation_measured(self):
-        p = sdp.SdpProblem(2, 0, [sdp.SdpConstraint(((0, 0, 1.0),), (), -0.25)])
-        sol = sdp.SdpSolution(
-            X=np.diag([-0.25, 1.0]), free=np.zeros(0), objective_value=0.0,
-            primal_residual=0.0, dual_residual=0.0, psd_violation=0.0,
-            status=sdp.OPTIMAL, iterations=0,
-        )
-        _, _, psd = sdp.residuals(p, sol)
-        assert psd == pytest.approx(0.25)
-
-
-class TestDumpLoad:
-    def test_round_trip(self):
-        cons = [
-            sdp.SdpConstraint(((0, 0, 1.0), (0, 1, -2.5)), (1.0, 0.0), 3.0),
-            sdp.SdpConstraint(((1, 1, 4.0),), (0.0, -1.0), -1.0),
-        ]
-        p = sdp.SdpProblem(
-            2, 2, cons, objective_matrix=((0, 1, 1.0),),
-            objective_free=(0.0, 2.0), sense="max",
-        )
-        q = sdp.load_problem(sdp.dump_problem(p))
-        assert q.block_size == p.block_size
-        assert q.num_free == p.num_free
-        assert q.sense == p.sense
-        assert q.constraints[0].matrix_entries == p.constraints[0].matrix_entries
-        assert q.constraints[1].rhs == p.constraints[1].rhs
-        assert q.objective_free == p.objective_free
 
 
 class TestExampleFamilySdp:
@@ -237,54 +165,44 @@ class TestFullMatrixIterate:
         sol = sdp.solve(make(), sdp.SolveOptions(max_iter=3000))
         assert np.array_equal(sol.X, sol.X.T)
 
-    def test_non_orthogonal_rows_solve(self):
-        # the trace row shares X00 and X11 with the other rows, so the
-        # affine step takes the dense pseudo-inverse
-        cons = [
-            sdp.SdpConstraint(((0, 0, 1.0), (1, 1, 1.0)), (), 2.0),
-            sdp.SdpConstraint(((0, 0, 1.0),), (), 0.5),
-            sdp.SdpConstraint(((0, 1, 0.5),), (), 0.3),
-        ]
-        p = sdp.SdpProblem(2, 0, cons)
-        assert p.operator.rows is not None
-        sol = sdp.solve(p)
-        assert sol.status == sdp.OPTIMAL
-        assert np.allclose(sol.X, [[0.5, 0.3], [0.3, 1.5]], atol=1e-6)
-        assert np.array_equal(sol.X, sol.X.T)
-        primal, _, psd = sdp.residuals(p, sol)
-        assert primal <= 1e-8 * 3 and psd == 0.0
-
     def test_disjoint_rows_compile_to_labels(self):
-        p = feas_problem(0.9)
-        op = p.operator
-        assert op.rows is None
-        # X00 -> row 0, X11 -> row 1, both X01 and X10 -> row 2 with weight 0.5
+        op = feas_problem(0.9).operator
+        # X00 -> row 0, X11 -> row 1, both X01 and X10 -> row 2
         assert op.label.tolist() == [0, 2, 2, 1]
-        assert op.weight.tolist() == [1.0, 0.5, 0.5, 1.0]
-        assert np.array_equal(op.dense(), [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0.5, 0.5, 0]])
         X = np.array([[1.0, 0.9], [0.9, 1.0]])
-        assert np.allclose(op.values(X.ravel()), [1.0, 1.0, 0.9])
+        assert np.array_equal(op.values(X.ravel()), [1.0, 1.0, 1.8])
 
-    def test_unconstrained_positions_stay_free(self):
-        # X01 feeds no row: it keeps the value the cone step gives it
-        cons = [
-            sdp.SdpConstraint(((0, 0, 1.0),), (), 1.0),
-            sdp.SdpConstraint(((1, 1, 1.0),), (), 4.0),
-        ]
-        sol = sdp.solve(sdp.SdpProblem(2, 0, cons))
-        assert sol.status == sdp.OPTIMAL
-        assert sol.X[0, 0] == pytest.approx(1.0, abs=1e-7)
-        assert sol.X[1, 1] == pytest.approx(4.0, abs=1e-7)
+    def test_label_length_must_be_block_squared(self):
+        op = sdp.ConstraintMap(2, 2, np.array([0, 1, 1], dtype=np.intp))
+        with pytest.raises(sdp.SdpError):
+            sdp.SdpProblem(2, 0, operator=op, rhs=np.zeros(2))
+        # the operator's size must be the block size
+        op = sdp.ConstraintMap(2, 3, np.array([0, 2, 2, 1], dtype=np.intp))
+        with pytest.raises(sdp.SdpError):
+            sdp.SdpProblem(3, 0, operator=op, rhs=np.zeros(3))
+
+    def test_label_outside_rows_rejected(self):
+        # a position labelled K or below 0 would feed no row
+        for labels in ([0, 2, 2, 1], [0, -1, -1, 1]):
+            op = sdp.ConstraintMap(2, 2, np.array(labels, dtype=np.intp))
+            with pytest.raises(sdp.SdpError):
+                sdp.SdpProblem(2, 0, operator=op, rhs=np.zeros(2))
+
+    def test_row_fed_by_no_position_rejected(self):
+        # row 2 is named by no position, so nothing can meet its rhs
+        op = sdp.ConstraintMap(2, 3, np.array([0, 1, 1, 0], dtype=np.intp))
+        with pytest.raises(sdp.SdpError):
+            sdp.SdpProblem(2, 0, operator=op, rhs=np.zeros(3))
 
     def test_compiled_problem_checks_shapes(self):
-        op = sdp.ConstraintMap.from_entries(2, 1, [0], [0], [1], [1.0])
+        op = sdp.ConstraintMap(2, 3, np.array([0, 2, 2, 1], dtype=np.intp))
         with pytest.raises(sdp.SdpError):
             sdp.SdpProblem(2, 0, operator=op, rhs=np.zeros(2))
         with pytest.raises(sdp.SdpError):
-            sdp.SdpProblem(3, 0, operator=op, rhs=np.zeros(1))
+            sdp.SdpProblem(2, 0, operator=op, rhs=np.zeros((3, 1)))
         with pytest.raises(sdp.SdpError):
-            sdp.SdpProblem(2, 1, operator=op, rhs=np.zeros(1), free_matrix=np.zeros((1, 2)))
+            sdp.SdpProblem(2, 1, operator=op, rhs=np.zeros(3), free_matrix=np.zeros((3, 2)))
         with pytest.raises(sdp.SdpError):
-            sdp.SdpProblem(
-                2, 0, [sdp.SdpConstraint(((0, 0, 1.0),), (), 1.0)], operator=op, rhs=np.zeros(1)
-            )
+            sdp.SdpProblem(2, 1, operator=op, rhs=np.zeros(3), free_matrix=np.zeros((2, 1)))
+        p = sdp.SdpProblem(2, 1, operator=op, rhs=np.zeros(3))
+        assert np.array_equal(p.free_matrix, np.zeros((3, 1)))

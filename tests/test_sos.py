@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sostensor import generators, sdp, sos
+from sostensor.fileio import to_json
 from sostensor.sos import (
     CERTIFICATE_TOL,
     CertifyOptions,
@@ -580,14 +582,6 @@ class TestGramOperator:
         assert np.array_equal(
             system.operator.values(Q.ravel()), _constraint_values(Q, system)
         )
-        # the dump of the compiled problem lists the same pairs
-        problem = sdp.SdpProblem(
-            N, 0, operator=system.operator, rhs=np.arange(system.num_constraints, dtype=float)
-        )
-        loaded = sdp.load_problem(sdp.dump_problem(problem))
-        for con, prs in zip(loaded.constraints, system.pairs):
-            assert [(i, j) for i, j, _ in con.matrix_entries] == list(prs)
-        assert np.array_equal(loaded.rhs, problem.rhs)
 
     def test_reduce_cauchy_gram_to_extreme(self):
         # class seed 40000 at order 4, dim 2: the solver's Gram has rank 3,
@@ -876,14 +870,41 @@ def test_psd_but_not_sos_has_farkas_evidence(monkeypatch, name):
     assert status == sdp.INFEASIBLE_EVIDENCE and iterations < cap
     # independent of the solver: sum_alpha y_alpha E_alpha is PSD and
     # sum_alpha y_alpha f_alpha < 0, so no PSD Gram matrix reproduces f
-    system = gram_system(3, 6)
+    _assert_separates(f, res.farkas.items())
+
+
+def _assert_separates(f, pairs):
+    """sum_alpha y_alpha E_alpha is PSD over gram_system(n, m) and
+    sum_alpha y_alpha f_alpha < 0, for the (alpha, y_alpha) in `pairs`."""
+    system = gram_system(f.dim, f.degree)
     N = len(system.basis)
-    y = res.farkas
+    y = np.zeros(system.num_constraints)
+    index = {alpha: k for k, alpha in enumerate(system.alphas)}
+    for alpha, value in pairs:
+        y[index[tuple(alpha)]] = value
     Y = y[system.labels].reshape(N, N)
     w = np.linalg.eigvalsh(Y)
     assert w[0] >= -1e-9 * w[-1]
     coeffs = np.array([float(f.coefficient(a)) for a in system.alphas])
     assert float(y @ coeffs) < -1e-3 * float(np.linalg.norm(y))
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_farkas_evidence_is_emitted_over_the_full_variables(dim):
+    # Motzkin in x0..x2, alone and beside x3^6: the second is certified
+    # block by block, and its evidence is lifted from the block's monomials
+    terms = dict(PSD_NOT_SOS["motzkin"])
+    if dim == 4:
+        terms = {a + (0,): c for a, c in terms.items()}
+        terms[(0, 0, 0, 6)] = 1
+    f = HomogeneousPolynomial(6, dim, terms)
+    res = certify_sos(from_polynomial(f))
+    assert isinstance(res, NotCertified) and res.status == "not_sos"
+    emitted = json.loads(to_json(res.to_dict()))
+    assert emitted["witness_point"] is None
+    pairs = emitted["farkas"]
+    assert all(len(alpha) == dim for alpha, _ in pairs)
+    _assert_separates(f, pairs)
 
 
 def _partitions(m, largest=None):
