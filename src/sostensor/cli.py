@@ -88,8 +88,10 @@ def _build_parser() -> _Parser:
 
     r = sub.add_parser("repro", help="reproduction tables")
     r.add_argument("--suite", choices=("examples", "pd-test"), required=True)
-    r.add_argument("--count", type=int, default=100)
-    common(r)
+    # None: not given; `_cmd_repro` rejects the flags a suite does not read
+    r.add_argument("--count", type=int, default=None)
+    r.add_argument("--seed", type=int, default=None)
+    common(r, seed=False)
     return p
 
 
@@ -262,6 +264,13 @@ _EXAMPLE_ROWS = (
 
 
 def _cmd_repro(args) -> int:
+    unread = {
+        "examples": {"--seed": args.seed, "--count": args.count},
+        "pd-test": {"--tol": args.tol},
+    }[args.suite]
+    given = [flag for flag, value in unread.items() if value is not None]
+    if given:
+        raise UsageError(f"repro --suite {args.suite} does not read {', '.join(given)}")
     if args.suite == "examples":
         rows = []
         tol = 1e-6 if args.tol is None else min(args.tol, 1e-6)
@@ -296,12 +305,13 @@ def _cmd_repro(args) -> int:
         return EXIT_INCONCLUSIVE if off else EXIT_OK
 
     # pd-test: seeded instances at (m, n, s, k, M) = (4, 20, 4, 5, 100)
-    count = args.count
+    count = 100 if args.count is None else args.count
+    seed = args.seed or 0
     pd_count = npd_count = correct = 0
     for i in range(count):
-        inst = spectral.generate_procedure1(4, 20, 4, 5, 100.0, seed=args.seed + i)
+        inst = spectral.generate_procedure1(4, 20, 4, 5, 100.0, seed=seed + i)
         res = spectral.is_positive_definite(
-            inst.tensor, spectral.EigMinOptions(tol=1e-4, seed=args.seed + i)
+            inst.tensor, spectral.EigMinOptions(tol=1e-4, seed=seed + i)
         )
         verdict = res.verdict is True
         if verdict:

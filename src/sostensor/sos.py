@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -191,38 +192,112 @@ def _constraint_values(Q: np.ndarray, system: GramSystem) -> np.ndarray:
 # certificates
 
 
-@dataclass
 class SosCertificate:
-    basis: MonomialBasis
-    gram: np.ndarray
-    squares: List[HomogeneousPolynomial]
-    rank_estimate: int
-    residual: float
-    # route that built the Gram matrix: "diagonal", "amgm", "cauchy", "sdp",
-    # or "blockwise", with each block's route in `block_methods`, aligned
-    # with `block_structure`
-    method: str
-    block_structure: Optional[List[Tuple[int, ...]]] = None
-    block_methods: Optional[List[str]] = None
+    """A Gram matrix Q with z' Q z = f over the half-degree basis z, and the
+    squares split from it.
 
-    def reconstruction(self) -> HomogeneousPolynomial:
-        """Sum of the stored squares, for external verification."""
-        out = HomogeneousPolynomial(2 * self.basis.degree, self.basis.dim, {})
-        for s in self.squares:
-            prod: Dict[Exponent, Number] = {}
-            items = list(s.terms.items())
-            for a1, c1 in items:
-                for a2, c2 in items:
-                    key = tuple(x + y for x, y in zip(a1, a2))
-                    prod[key] = prod.get(key, 0) + c1 * c2
-            out = out + HomogeneousPolynomial(out.degree, out.dim, prod)
+    `method` names the route that built Q: "diagonal", "amgm", "cauchy",
+    "sdp", or "blockwise".  A blockwise certificate stores `blocks`: for each
+    variable component of f, its variables and that component's own
+    certificate in those variables.  Its `basis`, `gram` and `squares` over
+    all of f's variables are lifted from the blocks on first read and then
+    cached; the lifted Gram matrix is dense, with C(n+m/2-1, m/2)^2 entries,
+    so a caller that can work block by block should read `blocks`.  Any
+    other certificate stores its basis, Gram matrix and squares, and has no
+    blocks.
+    """
+
+    def __init__(
+        self,
+        basis: MonomialBasis,
+        gram: np.ndarray,
+        squares: List[HomogeneousPolynomial],
+        rank_estimate: int,
+        residual: float,
+        method: str,
+    ):
+        # instance attributes shadow the lifting properties below
+        self.basis = basis
+        self.gram = gram
+        self.squares = squares
+        self.rank_estimate = rank_estimate
+        self.residual = residual
+        self.method = method
+        self.dim = basis.dim
+        self.blocks: Tuple[Tuple[Tuple[int, ...], SosCertificate], ...] = ()
+
+    @classmethod
+    def blockwise(
+        cls, dim: int, blocks: Sequence[Tuple[Tuple[int, ...], "SosCertificate"]]
+    ) -> "SosCertificate":
+        """Merge the certificates of a form's variable components, each given
+        with its variables, into one certificate over `dim` variables."""
+        cert = cls.__new__(cls)
+        cert.blocks = tuple(blocks)
+        cert.dim = dim
+        cert.rank_estimate = sum(b.rank_estimate for _, b in cert.blocks)
+        cert.residual = max(b.residual for _, b in cert.blocks)
+        cert.method = "blockwise"
+        return cert
+
+    @property
+    def block_structure(self) -> Optional[List[Tuple[int, ...]]]:
+        """Each block's variables, or None without blocks."""
+        return [v for v, _ in self.blocks] or None
+
+    @property
+    def block_methods(self) -> Optional[List[str]]:
+        """Each block's route, aligned with `block_structure`."""
+        return [b.method for _, b in self.blocks] or None
+
+    @cached_property
+    def basis(self) -> MonomialBasis:
+        return monomial_basis(self.dim, self.blocks[0][1].basis.degree)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        N = len(self.basis)
+        Q = np.zeros((N, N))
+        for vars_, block in self.blocks:
+            # blocks share no variable, so no two lift onto one position
+            lift = np.array(
+                [self.basis.index_of(_lift(a, vars_, self.dim)) for a in block.basis.exponents],
+                dtype=np.intp,
+            )
+            Q[np.ix_(lift, lift)] += block.gram
+        return Q
+
+    @cached_property
+    def squares(self) -> List[HomogeneousPolynomial]:
+        out = []
+        for vars_, block in self.blocks:
+            lifted = {a: _lift(a, vars_, self.dim) for a in block.basis.exponents}
+            for s in block.squares:
+                terms = {lifted[a]: c for a, c in s.terms.items()}
+                out.append(HomogeneousPolynomial(s.degree, self.dim, terms))
         return out
 
-    def to_dict(self) -> dict:
+    def reconstruction(self) -> HomogeneousPolynomial:
+        """Sum of the stored squares, for external verification.
+
+        A blockwise certificate sums each block's squares in the block's
+        variables and lifts the coefficients: no two blocks share a monomial.
+        """
+        if not self.blocks:
+            return HomogeneousPolynomial(
+                2 * self.basis.degree, self.dim, _sum_of_squares(self.squares)
+            )
+        terms: Dict[Exponent, Number] = {}
+        for vars_, block in self.blocks:
+            for a, c in _sum_of_squares(block.squares).items():
+                terms[_lift(a, vars_, self.dim)] = c
+        return HomogeneousPolynomial(2 * self.blocks[0][1].basis.degree, self.dim, terms)
+
+    def _gram_dict(self) -> dict:
         iu = np.triu_indices(len(self.basis))
         return {
             "basis": [list(a) for a in self.basis.exponents],
-            "gram_lower_triangle": [float(v) for v in self.gram.T[iu]],
+            "gram_lower_triangle": self.gram.T[iu].tolist(),
             "squares": [
                 {"coefficients": [[list(a), float(c)] for a, c in s.terms.items()]}
                 for s in self.squares
@@ -230,11 +305,34 @@ class SosCertificate:
             "rank_estimate": self.rank_estimate,
             "residual": self.residual,
             "method": self.method,
-            "blocks": [list(b) for b in self.block_structure]
-            if self.block_structure
-            else None,
+        }
+
+    def to_dict(self) -> dict:
+        """JSON-ready certificate.  A blockwise one lists, under `blocks`,
+        each block's variables with its certificate in those variables
+        (basis, Gram lower triangle, squares, rank, residual, route), and
+        has no full-basis `basis`, `gram_lower_triangle` or `squares`."""
+        if not self.blocks:
+            return {**self._gram_dict(), "blocks": None, "block_methods": None}
+        return {
+            "rank_estimate": self.rank_estimate,
+            "residual": self.residual,
+            "method": self.method,
+            "blocks": [{"variables": list(v), **b._gram_dict()} for v, b in self.blocks],
             "block_methods": self.block_methods,
         }
+
+
+def _sum_of_squares(squares: Sequence[HomogeneousPolynomial]) -> Dict[Exponent, Number]:
+    """Coefficients of sum_k s_k^2, accumulated in one dict."""
+    out: Dict[Exponent, Number] = {}
+    for s in squares:
+        items = list(s.terms.items())
+        for a1, c1 in items:
+            for a2, c2 in items:
+                key = tuple(map(add, a1, a2))
+                out[key] = out.get(key, 0) + c1 * c2
+    return out
 
 
 @dataclass
@@ -437,15 +535,22 @@ def gershgorin_lower_bound(
     squares for even order.  Both row quantities are read from the induced
     form (`form`, when the caller has built it): the diagonal entry is the
     coefficient b of x_i^m, and row i's off-diagonal absolute entries sum to
-    sum |b_alpha| * alpha_i / m over the mixed terms b_alpha x^alpha.
+    sum |b_alpha| * alpha_i / m over the mixed terms b_alpha x^alpha.  The
+    terms are read through their supports, so the cost is that of the
+    nonzero exponents, not of terms times n.
     """
     f = A.to_polynomial() if form is None else form
     if not f.dim:
         return 0.0
-    exps, coeffs = term_arrays(f)
-    # a pure power's alpha_i / m is 1 in its own row and 0 elsewhere
-    pure = exps.max(axis=1) == f.degree
-    return float(np.min(exps.T @ np.where(pure, coeffs, -np.abs(coeffs)) / f.degree))
+    rows: List[int] = []
+    weights: List[float] = []
+    for support, c in f._support_index[0]:
+        # a pure power's alpha_i / m is 1 in its own row
+        w = float(c) if len(support) == 1 else -abs(float(c))
+        for v, e in support:
+            rows.append(v)
+            weights.append(w * e)
+    return float(np.min(np.bincount(rows, weights=weights, minlength=f.dim))) / f.degree
 
 
 def cauchy_gram(c: Sequence[float], basis: MonomialBasis) -> np.ndarray:
@@ -1086,16 +1191,10 @@ def _certify_blockwise(
     generator and its `_bound_scale`.  Blocks share no variable and no
     mixed term, so f is the sum of its restrictions; setting the other
     blocks' variables to zero shows that f is SOS only if every restriction
-    is.
+    is.  Each block keeps its certificate in its own variables.
     """
-    n, m = f.dim, f.degree
-    total_rank = 0
-    residual = 0.0
-    squares: List[HomogeneousPolynomial] = []
-    structure: List[Tuple[int, ...]] = []
-    methods: List[str] = []
-    basis = monomial_basis(n, m // 2)
-    Q_full = np.zeros((len(basis), len(basis)))
+    n = f.dim
+    blocks = []
     for vars_, sub, c, t in parts:
         result = _certify_monolithic(sub, opts, c, t)
         if isinstance(result, NotCertified):
@@ -1110,18 +1209,5 @@ def _certify_blockwise(
                 }
             result.message = f"block {tuple(v for v in vars_)}: {result.message}"
             return result
-        total_rank += result.rank_estimate
-        residual = max(residual, result.residual)
-        structure.append(tuple(vars_))
-        methods.append(result.method)
-        # lift block squares and Gram entries back to the full variable set
-        lifted = {alpha: _lift(alpha, vars_, n) for alpha in result.basis.exponents}
-        for s in result.squares:
-            terms = {lifted[alpha]: c for alpha, c in s.terms.items()}
-            squares.append(HomogeneousPolynomial(m // 2, n, terms))
-        # blocks share no variable, so no two blocks lift onto one position
-        lift = np.array([basis.index_of(full) for full in lifted.values()], dtype=np.intp)
-        Q_full[np.ix_(lift, lift)] += result.gram
-    return SosCertificate(
-        basis, Q_full, squares, total_rank, residual, "blockwise", structure, methods
-    )
+        blocks.append((tuple(vars_), result))
+    return SosCertificate.blockwise(n, blocks)

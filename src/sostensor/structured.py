@@ -107,8 +107,9 @@ def _build_row_tables(A: SymmetricTensor) -> RowTables:
 
     The row-i tuples (i, i2, ..., im) that sort to a canonical index idx
     containing i with count c_i number multiplicity(idx) * c_i / m.  Each
-    row accumulates its terms in entry order starting from int 0, so exact
-    (int, Fraction) entries give exact sums.
+    row accumulates its terms in entry order, which is sorted-index order
+    (see `SymmetricTensor`), starting from int 0, so exact (int, Fraction)
+    entries give exact sums.
     """
     n, m = A.dim, A.order
     absolute: List[Number] = [0] * n
@@ -134,7 +135,8 @@ def _build_row_tables(A: SymmetricTensor) -> RowTables:
 
 
 def is_z_tensor(A: SymmetricTensor) -> Tuple[bool, Optional[Index]]:
-    """All off-diagonal entries nonpositive; returns a violating index if not."""
+    """All off-diagonal entries nonpositive; returns the smallest violating
+    index if not."""
     for idx, v in A.entries.items():
         if len(set(idx)) > 1 and v > 0:
             return False, idx

@@ -250,8 +250,10 @@ class SymmetricTensor:
     """Even-handed sparse symmetric tensor of order `order`, dimension `dim`.
 
     `entries` maps canonical (sorted) index tuples to values; absent entries
-    are zero.  Instances are treated as immutable values: all operations
-    return new tensors.
+    are zero.  They are stored in ascending index order whatever the order
+    given, so every sum over the entries, or over the induced form's terms,
+    is the same for any insertion order.  Instances are treated as immutable
+    values: all operations return new tensors.
     """
 
     order: int
@@ -269,7 +271,7 @@ class SymmetricTensor:
                 raise TensorError(f"conflicting values for canonical index {canon}")
             if v != 0:
                 clean[canon] = v
-        object.__setattr__(self, "entries", clean)
+        object.__setattr__(self, "entries", dict(sorted(clean.items())))
 
     # -- construction -----------------------------------------------------
 

@@ -205,7 +205,10 @@ class TestCliCommands:
         assert main(["sos", str(path), "--out", str(cert_path)]) == EXIT_OK
         payload = json.loads(cert_path.read_text())
         assert payload["rank_estimate"] == 2
-        assert len(payload["basis"]) == 3
+        # x0^4 + x1^4 splits into the blocks (x0) and (x1), each with basis (x^2)
+        blocks = payload["blocks"]
+        assert [b["variables"] for b in blocks] == [[0], [1]]
+        assert [b["basis"] for b in blocks] == [[[2]], [[2]]]
 
     def test_eigmin_small(self, tmp_path, capsys):
         path = tmp_path / "t.txt"
@@ -303,6 +306,15 @@ class TestCliCommands:
         args = ["gen", "identity"] if command == "gen" else [command, str(path)]
         assert main(args + flag) == EXIT_USAGE
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite, flag", [
+        ("pd-test", ["--tol", "1e-3"]),
+        ("examples", ["--seed", "3"]),
+        ("examples", ["--count", "5"]),
+    ])
+    def test_repro_rejects_the_flag_its_suite_ignores(self, capsys, suite, flag):
+        assert main(["repro", "--suite", suite] + flag) == EXIT_USAGE
+        assert f"does not read {flag[0]}" in capsys.readouterr().err
 
     def test_repro_pd_suite_small(self, capsys):
         code = main(

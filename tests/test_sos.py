@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -187,6 +188,125 @@ class TestCertify:
         res = certify_sos(A)
         assert isinstance(res, NotCertified)
         assert res.status == "not_sos"
+
+
+def _permuted_example54(n, seed):
+    perm = np.random.default_rng(seed).permutation(n)
+    base = generators.example54(n)
+    return SymmetricTensor(4, n, {
+        tuple(sorted(int(perm[i]) for i in idx)): v for idx, v in base.entries.items()
+    })
+
+
+def _two_weakly_dominated_components():
+    """Two weakly dominated forms, on the variables (0, 3, 4) and (1, 2)."""
+    terms = {}
+    for dim, seed, variables in ((3, 40_000, (0, 3, 4)), (2, 40_001, (1, 2))):
+        f = generators.random_class_instance("weak_diag_dominated", 4, dim, seed).to_polynomial()
+        for alpha, c in f.terms.items():
+            full = [0] * 5
+            for j, v in enumerate(variables):
+                full[v] = alpha[j]
+            terms[tuple(full)] = c
+    return from_polynomial(HomogeneousPolynomial(4, 5, terms))
+
+
+BLOCKWISE_INPUTS = pytest.mark.parametrize(
+    "make", [lambda: _permuted_example54(20, 3), _two_weakly_dominated_components],
+    ids=["example54", "two_components"],
+)
+
+
+def _coefficient_gap(f, coefficients):
+    """Largest |f_alpha - coefficients[alpha]| over both supports."""
+    support = set(f.terms) | set(coefficients)
+    return max(abs(float(f.coefficient(a)) - float(coefficients.get(a, 0.0))) for a in support)
+
+
+class TestBlockCertificate:
+    """A blockwise certificate keeps each block's certificate in the block's
+    variables and lifts the full-basis Gram matrix only when it is read."""
+
+    @BLOCKWISE_INPUTS
+    def test_blocks_are_the_components_own_certificates(self, make):
+        A = make()
+        cert = certify_sos(A)
+        f = A.to_polynomial()
+        assert [v for v, _ in cert.blocks] == cert.block_structure
+        assert [b.method for _, b in cert.blocks] == cert.block_methods
+        for vars_, block in cert.blocks:
+            own = _monolithic(f.restrict(vars_))
+            assert block.basis == own.basis
+            assert np.array_equal(block.gram, own.gram)
+            assert [s.terms for s in block.squares] == [s.terms for s in own.squares]
+            assert (block.method, block.rank_estimate, block.residual) == (
+                own.method, own.rank_estimate, own.residual
+            )
+        assert cert.rank_estimate == sum(b.rank_estimate for _, b in cert.blocks)
+        assert cert.residual == max(b.residual for _, b in cert.blocks)
+
+    @BLOCKWISE_INPUTS
+    def test_full_basis_gram_is_built_on_first_read_only(self, make):
+        cert = certify_sos(make())
+        cert.squares
+        cert.reconstruction()
+        cert.to_dict()
+        assert "gram" not in vars(cert)
+        assert cert.gram is cert.gram
+        assert cert.gram.shape == (len(cert.basis), len(cert.basis))
+
+    @BLOCKWISE_INPUTS
+    def test_reconstruction_sums_the_lifted_squares(self, make):
+        A = make()
+        cert = certify_sos(A)
+        lifted = {}
+        for s in cert.squares:
+            for a1, c1 in s.terms.items():
+                for a2, c2 in s.terms.items():
+                    key = tuple(x + y for x, y in zip(a1, a2))
+                    lifted[key] = lifted.get(key, 0.0) + c1 * c2
+        recon = cert.reconstruction()
+        assert (recon.degree, recon.dim) == (4, A.dim)
+        assert _coefficient_gap(recon, lifted) <= 1e-12
+        assert _coefficient_gap(A.to_polynomial(), recon.terms) <= 1e-9
+
+    @BLOCKWISE_INPUTS
+    def test_emitted_blocks_rebuild_the_form(self, make):
+        A = make()
+        payload = json.loads(to_json(certify_sos(A).to_dict()))
+        assert not {"basis", "gram_lower_triangle", "squares"} & set(payload)
+        assert payload["block_methods"] == [b["method"] for b in payload["blocks"]]
+        assert payload["rank_estimate"] == sum(b["rank_estimate"] for b in payload["blocks"])
+        coefficients = {}
+        for block in payload["blocks"]:
+            B = np.array(block["basis"])
+            N = len(B)
+            Q = np.zeros((N, N))
+            Q.T[np.triu_indices(N)] = block["gram_lower_triangle"]
+            Q += np.tril(Q, -1).T
+            for p in range(N):
+                for q in range(N):
+                    full = [0] * A.dim
+                    for j, v in enumerate(block["variables"]):
+                        full[v] = int(B[p, j] + B[q, j])
+                    key = tuple(full)
+                    coefficients[key] = coefficients.get(key, 0.0) + Q[p, q]
+        assert _coefficient_gap(A.to_polynomial(), coefficients) <= 1e-9
+
+    @pytest.mark.parametrize("n, limit_mb", [(100, 20), (500, 50)])
+    def test_certify_memory_stays_per_block(self, n, limit_mb):
+        # the full basis has C(n+1, 2) monomials: a dense Gram matrix over it
+        # would take 204 MB at n = 100
+        A = generators.example54(n)
+        tracemalloc.start()
+        try:
+            cert = certify_sos(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.method == "blockwise"
+        assert peak < limit_mb * 1e6
+        assert _coefficient_gap(A.to_polynomial(), cert.reconstruction().terms) <= 1e-9
 
 
 class TestExtract:

@@ -150,6 +150,20 @@ class TestRowTables:
         assert row_tables(A) is row_tables(A)
         assert calls == [A]
 
+    @pytest.mark.parametrize("name, order, dim, seed", [
+        ("abs_psd_z", 4, 3, 40_001),
+        ("abs_psd_z", 6, 4, 40_000),
+        ("psd_extended_z", 6, 3, 40_000),
+        ("b0", 4, 4, 40_000),
+    ])
+    def test_classify_does_not_depend_on_entry_order(self, name, order, dim, seed):
+        A = generators.random_class_instance(name, order, dim, seed)
+        B = SymmetricTensor(order, dim, dict(reversed(list(A.entries.items()))))
+        # both are stored in ascending index order
+        assert list(B.entries) == sorted(A.entries) == list(A.entries)
+        assert row_tables(B) == row_tables(A)
+        assert classify(B).to_dict() == classify(A).to_dict()
+
     def test_odd_order_has_no_weak_sums(self):
         A = SymmetricTensor(3, 2, {(0, 0, 0): 1, (0, 0, 1): 2})
         rows = row_tables(A)
